@@ -109,9 +109,8 @@ ScenarioResult run_scenario(const Scenario& scenario, const Options& options) {
 
   // Latency percentiles over quorum submissions, on virtual time. One
   // registry histogram per scenario so rows do not bleed into each other.
-  obs::Histogram& latencies = obs::Registry::global().histogram(
-      std::string("chaos_goodput.") + scenario.name + ".quorum_latency_us",
-      obs::exponential_bounds(1000.0, 1.5, 24));
+  obs::LogLinearHistogram& latencies = obs::Registry::global().latency(
+      std::string("chaos_goodput.") + scenario.name + ".quorum_latency_us");
   latencies.reset();
   for (std::uint64_t s = 0; s < options.submissions; ++s) {
     const logsvc::SubmitReport report = submitter.submit(s, s * pace_us);

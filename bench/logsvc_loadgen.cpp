@@ -96,8 +96,8 @@ int main(int argc, char** argv) {
   config.merge_delay = std::chrono::microseconds(options.merge_delay_us);
   logsvc::LogService service(config);
 
-  obs::Histogram& latency_us = obs::Registry::global().histogram(
-      "loadgen.submit_to_sct_us", obs::exponential_bounds(1.0, 2.0, 26));
+  obs::LogLinearHistogram& latency_us =
+      obs::Registry::global().latency("loadgen.submit_to_sct_us");
   std::atomic<std::uint64_t> completed{0};
 
   const SimTime sim_now = SimTime::parse("2018-04-01");

@@ -86,8 +86,8 @@ int main(int argc, char** argv) {
   if (obs::Tracer::global().write_chrome_trace(trace_path)) {
     std::printf("\nchrome trace written to %s (load it in chrome://tracing)\n", trace_path);
   } else {
-    // Expected when the library was built with CTWATCH_OBS_DISABLED.
-    std::printf("\ntracing unavailable; no %s written\n", trace_path);
+    // The working directory is not writable.
+    std::printf("\ncannot write %s\n", trace_path);
   }
 
   if (serve_port >= 0) {

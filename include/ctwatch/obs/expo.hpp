@@ -16,16 +16,12 @@
 //
 // Thread-safety: handlers only read process-global state through the
 // registry's and tracer's own locks; start()/stop() may be called from
-// any single thread. Under CTWATCH_OBS_DISABLED the server compiles to a
-// stub whose start() fails.
+// any single thread.
 #pragma once
 
 #include <cstdint>
-#include <string>
-
-#ifndef CTWATCH_OBS_DISABLED
-
 #include <memory>
+#include <string>
 
 namespace ctwatch::obs {
 
@@ -68,26 +64,3 @@ class ExpoServer {
 };
 
 }  // namespace ctwatch::obs
-
-#else  // CTWATCH_OBS_DISABLED
-
-namespace ctwatch::obs {
-
-class ExpoServer {
- public:
-  struct Options {
-    std::uint16_t port = 0;
-    std::string bind_address = "127.0.0.1";
-  };
-  ExpoServer() = default;
-  explicit ExpoServer(Options) {}
-  bool start() { return false; }
-  void stop() {}
-  [[nodiscard]] bool running() const { return false; }
-  [[nodiscard]] std::uint16_t port() const { return 0; }
-  [[nodiscard]] std::uint64_t requests_served() const { return 0; }
-};
-
-}  // namespace ctwatch::obs
-
-#endif  // CTWATCH_OBS_DISABLED

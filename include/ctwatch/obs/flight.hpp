@@ -17,17 +17,12 @@
 // structure stays data-race-free under TSAN. Rings outlive their threads
 // (they are leaked like the metrics registry), so a post-mortem dump
 // still sees what an exited worker last did.
-//
-// Under CTWATCH_OBS_DISABLED everything is an inert inline stub.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#ifndef CTWATCH_OBS_DISABLED
-
-#include <atomic>
 
 namespace ctwatch::obs {
 
@@ -121,40 +116,3 @@ inline void flight_note(const char* name, std::uint64_t a = 0, std::uint64_t b =
 }
 
 }  // namespace ctwatch::obs
-
-#else  // CTWATCH_OBS_DISABLED
-
-namespace ctwatch::obs {
-
-struct FlightEvent {
-  std::uint64_t ts_us = 0;
-  std::uint64_t thread_id = 0;
-  std::uint64_t seq = 0;
-  const char* name = "";
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-};
-
-class FlightRecorder {
- public:
-  static constexpr std::size_t kRingSize = 256;
-  static FlightRecorder& global() {
-    static FlightRecorder recorder;
-    return recorder;
-  }
-  void set_enabled(bool) {}
-  [[nodiscard]] bool enabled() const { return false; }
-  void record(const char*, std::uint64_t = 0, std::uint64_t = 0) {}
-  [[nodiscard]] std::vector<FlightEvent> snapshot(std::size_t = 0) const { return {}; }
-  [[nodiscard]] std::string dump_text(std::size_t = 64) const { return ""; }
-  void dump_to_stderr(const char*) const {}
-  static void install_signal_handler() {}
-  [[nodiscard]] std::uint64_t recorded() const { return 0; }
-  void clear() {}
-};
-
-inline void flight_note(const char*, std::uint64_t = 0, std::uint64_t = 0) {}
-
-}  // namespace ctwatch::obs
-
-#endif  // CTWATCH_OBS_DISABLED

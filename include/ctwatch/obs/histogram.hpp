@@ -1,11 +1,11 @@
 // ctwatch::obs — auto-ranging log-linear latency histogram.
 //
-// The fixed-bucket Histogram needs its bounds chosen up front, and two
-// histograms with different bounds cannot be merged. This one can hold
-// any non-negative value without configuration: buckets are log-linear —
-// each power-of-two octave is split into kSubBuckets linear sub-buckets —
-// so recording is O(1) (a frexp plus two shifts, no bucket search) and
-// the relative quantile error is bounded by half a sub-bucket width:
+// The registry's one distribution type (latencies, batch sizes, any
+// non-negative value). It needs no bounds chosen up front: buckets are
+// log-linear — each power-of-two octave is split into kSubBuckets linear
+// sub-buckets — so recording is O(1) (a frexp plus two shifts, no bucket
+// search) and the relative quantile error is bounded by half a sub-bucket
+// width:
 //
 //     |q_reported - q_true| / q_true  <=  1 / (2 * kSubBuckets)  ~ 1.6%
 //
@@ -15,19 +15,12 @@
 // commutative and associative on exact integer counts). That is what the
 // par::ShardedAccumulator-style collapse and the /metrics exposition
 // both rely on.
-//
-// Under CTWATCH_OBS_DISABLED the class collapses to inert inline stubs
-// with the identical API.
 #pragma once
-
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#ifndef CTWATCH_OBS_DISABLED
 
 #include <atomic>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 
 namespace ctwatch::obs {
 
@@ -101,30 +94,3 @@ class LogLinearHistogram {
 };
 
 }  // namespace ctwatch::obs
-
-#else  // CTWATCH_OBS_DISABLED
-
-namespace ctwatch::obs {
-
-class LogLinearHistogram {
- public:
-  static constexpr std::size_t kSubBuckets = 32;
-  static constexpr std::size_t kOctaves = 40;
-  static constexpr std::size_t kBucketCount = 2 + kOctaves * kSubBuckets;
-
-  void observe(double) {}
-  [[nodiscard]] std::uint64_t count() const { return 0; }
-  [[nodiscard]] double sum() const { return 0.0; }
-  [[nodiscard]] double mean() const { return 0.0; }
-  [[nodiscard]] double quantile(double) const { return 0.0; }
-  void merge_from(const LogLinearHistogram&) {}
-  void reset() {}
-  [[nodiscard]] static std::size_t index_of(double) { return 0; }
-  [[nodiscard]] static double bucket_lower(std::size_t) { return 0.0; }
-  [[nodiscard]] static double bucket_upper(std::size_t) { return 0.0; }
-  [[nodiscard]] std::uint64_t bucket_count_at(std::size_t) const { return 0; }
-};
-
-}  // namespace ctwatch::obs
-
-#endif  // CTWATCH_OBS_DISABLED

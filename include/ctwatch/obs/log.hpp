@@ -5,21 +5,15 @@
 // Logger::global().set_level(...) or the CTWATCH_LOG environment variable
 // (trace|debug|info|warn|error). A per-(component,message) rate limit
 // keeps per-event diagnostics from flooding when enabled.
-//
-// With CTWATCH_OBS_DISABLED defined everything collapses to empty inline
-// stubs; field expressions are never evaluated into strings.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
+#include <mutex>
 #include <string>
 #include <string_view>
-
-#ifndef CTWATCH_OBS_DISABLED
-
-#include <atomic>
-#include <functional>
-#include <mutex>
 #include <type_traits>
 #include <unordered_map>
 
@@ -115,45 +109,3 @@ inline void log_error(std::string_view component, std::string_view message,
 }
 
 }  // namespace ctwatch::obs
-
-#else  // CTWATCH_OBS_DISABLED
-
-namespace ctwatch::obs {
-
-enum class LogLevel : int { trace = 0, debug = 1, info = 2, warn = 3, error = 4, off = 5 };
-
-inline const char* to_string(LogLevel) { return "off"; }
-inline LogLevel parse_log_level(std::string_view) { return LogLevel::off; }
-
-struct Field {
-  template <typename T>
-  Field(std::string_view, T&&) {}
-};
-
-class Logger {
- public:
-  static Logger& global() {
-    static Logger logger;
-    return logger;
-  }
-  void set_level(LogLevel) {}
-  [[nodiscard]] LogLevel level() const { return LogLevel::off; }
-  [[nodiscard]] bool enabled(LogLevel) const { return false; }
-  template <typename Sink>
-  void set_sink(Sink&&) {}
-  void set_rate_limit(std::uint64_t) {}
-  void log(LogLevel, std::string_view, std::string_view, std::initializer_list<Field> = {}) {}
-  [[nodiscard]] std::uint64_t emitted() const { return 0; }
-  [[nodiscard]] std::uint64_t suppressed() const { return 0; }
-  void reset_counters() {}
-};
-
-inline void log_trace(std::string_view, std::string_view, std::initializer_list<Field> = {}) {}
-inline void log_debug(std::string_view, std::string_view, std::initializer_list<Field> = {}) {}
-inline void log_info(std::string_view, std::string_view, std::initializer_list<Field> = {}) {}
-inline void log_warn(std::string_view, std::string_view, std::initializer_list<Field> = {}) {}
-inline void log_error(std::string_view, std::string_view, std::initializer_list<Field> = {}) {}
-
-}  // namespace ctwatch::obs
-
-#endif  // CTWATCH_OBS_DISABLED

@@ -1,31 +1,24 @@
 // ctwatch::obs — metrics registry.
 //
-// Monotonic counters, gauges, and fixed-bucket histograms with quantile
-// readout, held in a process-global registry. Handles are pre-registered
-// once (name lookup under a mutex) and then shared; after that a hot-path
-// event costs one relaxed atomic RMW. The registry renders as a human
-// table and as JSON — the machine-readable source of truth the bench
-// binaries snapshot next to their artifact output.
-//
-// Defining CTWATCH_OBS_DISABLED compiles the whole subsystem down to
-// empty inline stubs with the identical API: call sites need no #ifdefs
-// and the optimizer erases them.
+// Monotonic counters, gauges, and log-linear latency histograms with
+// quantile readout, held in a process-global registry. Handles are
+// pre-registered once (name lookup under a mutex) and then shared; after
+// that a hot-path event costs one relaxed atomic RMW. The registry renders
+// as a human table, as JSON — the machine-readable source of truth the
+// bench binaries snapshot next to their artifact output — and as
+// Prometheus text.
 #pragma once
-
-#include <cstdint>
-#include <string>
-#include <string_view>
-#include <vector>
-
-#include "ctwatch/obs/histogram.hpp"
-
-#ifndef CTWATCH_OBS_DISABLED
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <string_view>
+
+#include "ctwatch/obs/histogram.hpp"
 
 namespace ctwatch::obs {
 
@@ -59,45 +52,11 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Fixed-bucket histogram: `bounds` are inclusive upper edges plus an
-/// implicit +inf overflow bucket. Observation is one bucket search plus
-/// three relaxed atomics; quantiles are reconstructed from bucket counts
-/// with linear interpolation inside the hit bucket.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void observe(double value);
-  [[nodiscard]] std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  [[nodiscard]] double sum() const { return sum_.load(std::memory_order_relaxed); }
-  [[nodiscard]] double mean() const;
-  /// q is clamped into [0,1] (NaN reads as 0). Returns the interpolated
-  /// value, or 0 when empty; the result is always clamped to the finite
-  /// bound range — mass in the overflow bucket reports the largest finite
-  /// bound, never a value extrapolated past it.
-  [[nodiscard]] double quantile(double q) const;
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-  [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
-  void reset();
-
- private:
-  std::vector<double> bounds_;                       // sorted upper edges
-  std::vector<std::atomic<std::uint64_t>> buckets_;  // bounds_.size() + 1
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
-/// `count` edges starting at `start`, each `factor` times the previous —
-/// the usual latency-histogram layout.
-std::vector<double> exponential_bounds(double start, double factor, std::size_t count);
-
-/// Times a scope and records microseconds into a histogram (fixed-bucket
-/// Histogram or LogLinearHistogram — anything with observe(double)).
-/// Compiles to nothing when the subsystem is disabled (no clock reads).
-template <typename H = Histogram>
+/// Times a scope and records microseconds into a latency histogram.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(H& hist) : hist_(&hist), start_(std::chrono::steady_clock::now()) {}
+  explicit ScopedTimer(LogLinearHistogram& hist)
+      : hist_(&hist), start_(std::chrono::steady_clock::now()) {}
   ~ScopedTimer() {
     const auto elapsed = std::chrono::steady_clock::now() - start_;
     hist_->observe(std::chrono::duration<double, std::micro>(elapsed).count());
@@ -106,12 +65,9 @@ class ScopedTimer {
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
-  H* hist_;
+  LogLinearHistogram* hist_;
   std::chrono::steady_clock::time_point start_;
 };
-
-template <typename H>
-ScopedTimer(H&) -> ScopedTimer<H>;
 
 /// Name -> metric. Lookup is mutexed; returned references live for the
 /// process, so modules resolve their handles once in a local static.
@@ -121,13 +77,9 @@ class Registry {
 
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  /// Re-requesting an existing histogram ignores `bounds`. An empty
-  /// `bounds` gets the default microsecond latency layout.
-  Histogram& histogram(const std::string& name, std::vector<double> bounds = {});
-  /// Auto-ranging log-linear histogram — the hot-path latency type: O(1)
-  /// record, mergeable, no bounds to choose. Shares the "histograms"
-  /// section of every rendering with the fixed-bucket kind (names must
-  /// not collide across the two).
+  /// Auto-ranging log-linear histogram — the one distribution type: O(1)
+  /// record, mergeable, no bounds to choose. Rendered in the "histograms"
+  /// section of every output.
   LogLinearHistogram& latency(const std::string& name);
 
   /// Human-readable table, one metric per line, sorted by name.
@@ -144,86 +96,10 @@ class Registry {
   void reset();
 
  private:
-  struct DistRow;  // one rendered distribution, either histogram type
-  /// Merged, name-sorted snapshot of histograms_ + latencies_. mu_ held.
-  [[nodiscard]] std::vector<DistRow> distribution_rows() const;
-
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<LogLinearHistogram>> latencies_;
 };
 
 }  // namespace ctwatch::obs
-
-#else  // CTWATCH_OBS_DISABLED — same API, empty inline bodies.
-
-namespace ctwatch::obs {
-
-inline bool is_valid_metric_name(std::string_view) { return true; }
-
-class Counter {
- public:
-  void inc(std::uint64_t = 1) {}
-  [[nodiscard]] std::uint64_t value() const { return 0; }
-  void reset() {}
-};
-
-class Gauge {
- public:
-  void set(std::int64_t) {}
-  void add(std::int64_t) {}
-  [[nodiscard]] std::int64_t value() const { return 0; }
-  void reset() {}
-};
-
-class Histogram {
- public:
-  void observe(double) {}
-  [[nodiscard]] std::uint64_t count() const { return 0; }
-  [[nodiscard]] double sum() const { return 0.0; }
-  [[nodiscard]] double mean() const { return 0.0; }
-  [[nodiscard]] double quantile(double) const { return 0.0; }
-  [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const { return {}; }
-  void reset() {}
-};
-
-inline std::vector<double> exponential_bounds(double, double, std::size_t) { return {}; }
-
-template <typename H = Histogram>
-class ScopedTimer {
- public:
-  explicit ScopedTimer(H&) {}
-};
-
-template <typename H>
-ScopedTimer(H&) -> ScopedTimer<H>;
-
-class Registry {
- public:
-  static Registry& global() {
-    static Registry registry;
-    return registry;
-  }
-  Counter& counter(const std::string&) { return counter_; }
-  Gauge& gauge(const std::string&) { return gauge_; }
-  Histogram& histogram(const std::string&, std::vector<double> = {}) { return histogram_; }
-  LogLinearHistogram& latency(const std::string&) { return latency_; }
-  [[nodiscard]] std::string render_text() const { return ""; }
-  [[nodiscard]] std::string render_json() const {
-    return "{\"counters\":{},\"gauges\":{},\"histograms\":{}}";
-  }
-  [[nodiscard]] std::string render_prometheus() const { return ""; }
-  void reset() {}
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-  LogLinearHistogram latency_;
-};
-
-}  // namespace ctwatch::obs
-
-#endif  // CTWATCH_OBS_DISABLED

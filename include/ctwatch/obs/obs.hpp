@@ -1,20 +1,20 @@
 // ctwatch::obs — umbrella header.
 //
 // Observability for the measurement pipeline itself: a metrics registry
-// (counters / gauges / fixed-bucket and log-linear histograms), causal
-// tracing spans with chrome://tracing export (cross-thread hand-offs as
-// flow events), an always-on flight recorder, a structured logger, and a
-// live HTTP exposition endpoint. Sits below util in the layering — it
-// depends on nothing else in ctwatch, so every module may instrument
-// itself freely.
+// (counters / gauges / log-linear histograms), causal tracing spans with
+// chrome://tracing export (cross-thread hand-offs as flow events), an
+// always-on flight recorder, a structured logger, and a live HTTP
+// exposition endpoint. Sits below util in the layering — it depends on
+// nothing else in ctwatch, so every module may instrument itself freely.
 //
 // Environment knobs (all optional; silence is the default):
 //   CTWATCH_LOG=trace|debug|info|warn|error   enable the logger
 //   CTWATCH_TRACE=1                           enable span collection
 //   CTWATCH_METRICS_JSON=path                 bench metrics snapshot path
 //
-// Define CTWATCH_OBS_DISABLED (CMake: -DCTWATCH_OBS_DISABLED=ON) to
-// compile the whole subsystem down to no-ops.
+// There is one build: obs is always compiled in, and these runtime
+// switches (plus Tracer::set_enabled and FlightRecorder::set_enabled) are
+// the only way to quiet it.
 #pragma once
 
 #include "ctwatch/obs/expo.hpp"

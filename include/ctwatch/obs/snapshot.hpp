@@ -2,9 +2,7 @@
 //
 // Shared by the bench binaries and the integration tests: resolve where a
 // snapshot should go (CTWATCH_METRICS_JSON, or a name derived from
-// argv[0]) and write the full registry as one JSON object. Works in both
-// obs builds: with CTWATCH_OBS_DISABLED the stub registry still renders
-// a valid (empty) JSON document.
+// argv[0]) and write the full registry as one JSON object.
 #pragma once
 
 #include <string>

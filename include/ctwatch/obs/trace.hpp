@@ -24,15 +24,12 @@
 // variable data belongs in metrics or log fields, not span names.
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#ifndef CTWATCH_OBS_DISABLED
-
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <mutex>
+#include <string>
+#include <vector>
 
 namespace ctwatch::obs {
 
@@ -153,68 +150,6 @@ class Span {
 };
 
 }  // namespace ctwatch::obs
-
-#else  // CTWATCH_OBS_DISABLED
-
-namespace ctwatch::obs {
-
-struct SpanRecord {
-  std::string name;
-  std::uint64_t start_us = 0;
-  std::uint64_t duration_us = 0;
-  std::uint64_t thread_id = 0;
-  std::uint64_t trace_id = 0;
-  std::uint32_t id = 0;
-  std::uint32_t parent_id = 0;
-};
-
-struct TraceContext {
-  [[nodiscard]] bool active() const { return false; }
-};
-
-inline TraceContext current_context() { return {}; }
-
-inline std::uint64_t this_thread_ordinal() { return 0; }
-
-class ContextScope {
- public:
-  explicit ContextScope(const TraceContext&) {}
-};
-
-struct FlowLink {
-  std::uint32_t parent_id = 0;
-  std::uint32_t child_id = 0;
-  std::uint64_t trace_id = 0;
-};
-
-inline std::vector<FlowLink> flow_links(const std::vector<SpanRecord>&) { return {}; }
-
-class Tracer {
- public:
-  static Tracer& global() {
-    static Tracer tracer;
-    return tracer;
-  }
-  void set_enabled(bool) {}
-  [[nodiscard]] bool enabled() const { return false; }
-  void record(SpanRecord) {}
-  [[nodiscard]] std::vector<SpanRecord> spans() const { return {}; }
-  [[nodiscard]] std::vector<SpanRecord> recent_spans(std::size_t) const { return {}; }
-  [[nodiscard]] std::string chrome_trace_json() const { return "{\"traceEvents\":[]}"; }
-  [[nodiscard]] std::string aggregate_table() const { return ""; }
-  bool write_chrome_trace(const std::string&) const { return false; }
-  void clear() {}
-};
-
-class Span {
- public:
-  explicit Span(const char*) {}
-  [[nodiscard]] TraceContext context() const { return {}; }
-};
-
-}  // namespace ctwatch::obs
-
-#endif  // CTWATCH_OBS_DISABLED
 
 /// Opens a span covering the rest of the enclosing scope.
 #define CTWATCH_SPAN_CONCAT2(a, b) a##b

@@ -14,8 +14,8 @@ struct ChaosMetrics {
   obs::Counter& faults = obs::Registry::global().counter("chaos.faults");
   obs::Counter& errors = obs::Registry::global().counter("chaos.errors");
   obs::Counter& timeouts = obs::Registry::global().counter("chaos.timeouts");
-  obs::Histogram& latency_us = obs::Registry::global().histogram(
-      "chaos.injected_latency_us", obs::exponential_bounds(1.0, 4.0, 16));
+  obs::LogLinearHistogram& latency_us =
+      obs::Registry::global().latency("chaos.injected_latency_us");
 };
 
 ChaosMetrics& chaos_metrics() {

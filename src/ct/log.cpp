@@ -17,8 +17,8 @@ struct SubmitMetrics {
   obs::Counter& rejected_invalid = obs::Registry::global().counter("ct.log.rejected_invalid");
   obs::Counter& overloaded = obs::Registry::global().counter("ct.log.overload_rejections");
   obs::Counter& dedup_hits = obs::Registry::global().counter("ct.log.dedup_hits");
-  obs::Histogram& merkle_integrate_us =
-      obs::Registry::global().histogram("ct.log.merkle_integrate_us");
+  obs::LogLinearHistogram& merkle_integrate_us =
+      obs::Registry::global().latency("ct.log.merkle_integrate_us");
 };
 
 SubmitMetrics& submit_metrics() {

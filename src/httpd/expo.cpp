@@ -3,8 +3,6 @@
 // layering; the obs header only carries a pimpl.
 #include "ctwatch/obs/expo.hpp"
 
-#ifndef CTWATCH_OBS_DISABLED
-
 #include <sstream>
 #include <vector>
 
@@ -92,5 +90,3 @@ std::uint16_t ExpoServer::port() const { return impl_->server.port(); }
 std::uint64_t ExpoServer::requests_served() const { return impl_->server.requests_served(); }
 
 }  // namespace ctwatch::obs
-
-#endif  // CTWATCH_OBS_DISABLED

@@ -19,8 +19,8 @@ struct MultiLogMetrics {
   obs::Counter& retries = obs::Registry::global().counter("multilog.retries");
   obs::Counter& hedges = obs::Registry::global().counter("multilog.hedges");
   obs::Counter& breaker_trips = obs::Registry::global().counter("multilog.breaker_trips");
-  obs::Histogram& quorum_latency_us = obs::Registry::global().histogram(
-      "multilog.quorum_latency_us", obs::exponential_bounds(64.0, 2.0, 20));
+  obs::LogLinearHistogram& quorum_latency_us =
+      obs::Registry::global().latency("multilog.quorum_latency_us");
   // Wall-clock cost of running one submission's virtual-time event loop
   // (quorum_latency_us above is simulated time; this is compute time).
   obs::LogLinearHistogram& submit_wall_us =

@@ -26,14 +26,13 @@ struct SvcMetrics {
   obs::Counter& sealed_batches = obs::Registry::global().counter("logsvc.sealed_batches");
   obs::Gauge& queue_depth = obs::Registry::global().gauge("logsvc.queue_depth");
   obs::Gauge& tree_size = obs::Registry::global().gauge("logsvc.tree_size");
-  obs::Histogram& batch_size = obs::Registry::global().histogram(
-      "logsvc.batch_size", obs::exponential_bounds(1.0, 2.0, 16));
-  obs::Histogram& seal_us = obs::Registry::global().histogram("logsvc.seal_us");
-  obs::Histogram& submit_to_sct_us =
-      obs::Registry::global().histogram("logsvc.submit_to_sct_us");
-  // Per-stage latencies (log-linear: auto-ranging, mergeable) — one
-  // submission's journey decomposed: ingress, queue wait, merge window,
-  // per-entry signing. Fanout dispatch lives in fanout.cpp.
+  obs::LogLinearHistogram& batch_size = obs::Registry::global().latency("logsvc.batch_size");
+  obs::LogLinearHistogram& seal_us = obs::Registry::global().latency("logsvc.seal_us");
+  obs::LogLinearHistogram& submit_to_sct_us =
+      obs::Registry::global().latency("logsvc.submit_to_sct_us");
+  // Per-stage latencies — one submission's journey decomposed: ingress,
+  // queue wait, merge window, per-entry signing. Fanout dispatch lives in
+  // fanout.cpp.
   obs::LogLinearHistogram& submit_us = obs::Registry::global().latency("logsvc.submit_us");
   obs::LogLinearHistogram& queue_wait_us =
       obs::Registry::global().latency("logsvc.queue_wait_us");

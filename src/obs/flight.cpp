@@ -1,7 +1,5 @@
 #include "ctwatch/obs/flight.hpp"
 
-#ifndef CTWATCH_OBS_DISABLED
-
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
@@ -190,5 +188,3 @@ void FlightRecorder::clear() {
 }
 
 }  // namespace ctwatch::obs
-
-#endif  // CTWATCH_OBS_DISABLED

@@ -1,7 +1,5 @@
 #include "ctwatch/obs/histogram.hpp"
 
-#ifndef CTWATCH_OBS_DISABLED
-
 #include <algorithm>
 
 namespace ctwatch::obs {
@@ -62,5 +60,3 @@ void LogLinearHistogram::reset() {
 }
 
 }  // namespace ctwatch::obs
-
-#endif  // CTWATCH_OBS_DISABLED

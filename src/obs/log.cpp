@@ -1,7 +1,5 @@
 #include "ctwatch/obs/log.hpp"
 
-#ifndef CTWATCH_OBS_DISABLED
-
 #include <cstdio>
 #include <cstdlib>
 
@@ -108,5 +106,3 @@ void Logger::reset_counters() {
 }
 
 }  // namespace ctwatch::obs
-
-#endif  // CTWATCH_OBS_DISABLED

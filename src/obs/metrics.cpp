@@ -2,20 +2,14 @@
 
 #include "ctwatch/obs/obs.hpp"
 
-#ifndef CTWATCH_OBS_DISABLED
-
-#include <algorithm>
 #include <cassert>
-#include <cmath>
+#include <cctype>
 #include <cstdio>
 #include <sstream>
 
 namespace ctwatch::obs {
 
 namespace {
-
-// Default layout for ScopedTimer-fed histograms: 1us .. ~16s.
-std::vector<double> default_latency_bounds() { return exponential_bounds(1.0, 2.0, 24); }
 
 std::string json_escape(const std::string& text) {
   std::string out;
@@ -66,75 +60,6 @@ bool is_valid_metric_name(std::string_view name) {
   return true;
 }
 
-std::vector<double> exponential_bounds(double start, double factor, std::size_t count) {
-  std::vector<double> bounds;
-  bounds.reserve(count);
-  double edge = start;
-  for (std::size_t i = 0; i < count; ++i) {
-    bounds.push_back(edge);
-    edge *= factor;
-  }
-  return bounds;
-}
-
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  std::sort(bounds_.begin(), bounds_.end());
-  bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  buckets_ = std::vector<std::atomic<std::uint64_t>>(bounds_.size() + 1);
-}
-
-void Histogram::observe(double value) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  const auto index = static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[index].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
-}
-
-double Histogram::mean() const {
-  const std::uint64_t n = count();
-  return n > 0 ? sum() / static_cast<double>(n) : 0.0;
-}
-
-double Histogram::quantile(double q) const {
-  const std::uint64_t n = count();
-  if (n == 0) return 0.0;
-  if (std::isnan(q)) q = 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  // rank in [1, n]: q=0 targets the first observation's bucket instead of
-  // interpolating below every recorded value, q=1 the last observation's.
-  const double rank = std::max(1.0, q * static_cast<double>(n));
-  double cumulative = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    const auto in_bucket = static_cast<double>(buckets_[i].load(std::memory_order_relaxed));
-    if (in_bucket == 0) continue;
-    if (cumulative + in_bucket >= rank) {
-      // Overflow bucket: clamp to the largest finite bound rather than
-      // inventing a value past the layout.
-      if (i >= bounds_.size()) return bounds_.empty() ? 0.0 : bounds_.back();
-      const double upper = bounds_[i];
-      const double lower = i == 0 ? std::min(0.0, upper) : bounds_[i - 1];
-      const double within = std::clamp((rank - cumulative) / in_bucket, 0.0, 1.0);
-      return lower + (upper - lower) * within;
-    }
-    cumulative += in_bucket;
-  }
-  return bounds_.empty() ? 0.0 : bounds_.back();
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(buckets_.size());
-  for (const auto& b : buckets_) out.push_back(b.load(std::memory_order_relaxed));
-  return out;
-}
-
-void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
 Registry& Registry::global() {
   // Intentionally leaked: worker threads (ctwatch::par's global pool) may
   // still be incrementing counters while function-local statics are torn
@@ -160,45 +85,12 @@ Gauge& Registry::gauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& Registry::histogram(const std::string& name, std::vector<double> bounds) {
-  assert(is_valid_metric_name(name));
-  std::lock_guard lock(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) {
-    if (bounds.empty()) bounds = default_latency_bounds();
-    slot = std::make_unique<Histogram>(std::move(bounds));
-  }
-  return *slot;
-}
-
 LogLinearHistogram& Registry::latency(const std::string& name) {
   assert(is_valid_metric_name(name));
   std::lock_guard lock(mu_);
   auto& slot = latencies_[name];
   if (!slot) slot = std::make_unique<LogLinearHistogram>();
   return *slot;
-}
-
-// One distribution row, whichever histogram type backs it. Snapshotting
-// through this keeps the two maps rendering identically everywhere.
-struct Registry::DistRow {
-  std::string name;
-  std::uint64_t count;
-  double sum, mean, p50, p90, p99;
-};
-
-std::vector<Registry::DistRow> Registry::distribution_rows() const {
-  std::vector<DistRow> rows;
-  rows.reserve(histograms_.size() + latencies_.size());
-  const auto snap = [&rows](const std::string& name, const auto& h) {
-    rows.push_back({name, h.count(), h.sum(), h.mean(), h.quantile(0.50), h.quantile(0.90),
-                    h.quantile(0.99)});
-  };
-  for (const auto& [name, h] : histograms_) snap(name, *h);
-  for (const auto& [name, h] : latencies_) snap(name, *h);
-  std::sort(rows.begin(), rows.end(),
-            [](const DistRow& a, const DistRow& b) { return a.name < b.name; });
-  return rows;
 }
 
 std::string Registry::render_text() const {
@@ -210,10 +102,11 @@ std::string Registry::render_text() const {
   for (const auto& [name, g] : gauges_) {
     out << name << " = " << g->value() << "\n";
   }
-  for (const DistRow& row : distribution_rows()) {
-    out << row.name << " count=" << row.count << " mean=" << format_number(row.mean)
-        << " p50=" << format_number(row.p50) << " p90=" << format_number(row.p90)
-        << " p99=" << format_number(row.p99) << "\n";
+  for (const auto& [name, h] : latencies_) {
+    out << name << " count=" << h->count() << " mean=" << format_number(h->mean())
+        << " p50=" << format_number(h->quantile(0.50))
+        << " p90=" << format_number(h->quantile(0.90))
+        << " p99=" << format_number(h->quantile(0.99)) << "\n";
   }
   return out.str();
 }
@@ -237,13 +130,14 @@ std::string Registry::render_json() const {
   }
   out << "},\"histograms\":{";
   first = true;
-  for (const DistRow& row : distribution_rows()) {
+  for (const auto& [name, h] : latencies_) {
     if (!first) out << ",";
     first = false;
-    out << "\"" << json_escape(row.name) << "\":{\"count\":" << row.count
-        << ",\"sum\":" << format_number(row.sum) << ",\"mean\":" << format_number(row.mean)
-        << ",\"p50\":" << format_number(row.p50) << ",\"p90\":" << format_number(row.p90)
-        << ",\"p99\":" << format_number(row.p99) << "}";
+    out << "\"" << json_escape(name) << "\":{\"count\":" << h->count()
+        << ",\"sum\":" << format_number(h->sum()) << ",\"mean\":" << format_number(h->mean())
+        << ",\"p50\":" << format_number(h->quantile(0.50))
+        << ",\"p90\":" << format_number(h->quantile(0.90))
+        << ",\"p99\":" << format_number(h->quantile(0.99)) << "}";
   }
   out << "}}";
   return out.str();
@@ -262,15 +156,15 @@ std::string Registry::render_prometheus() const {
   }
   // Distributions render as precomputed summaries: quantile-labelled
   // samples plus _sum/_count, the format scrapers accept without needing
-  // our bucket layouts.
-  for (const DistRow& row : distribution_rows()) {
-    const std::string prom = prometheus_name(row.name);
+  // our bucket layout.
+  for (const auto& [name, h] : latencies_) {
+    const std::string prom = prometheus_name(name);
     out << "# TYPE " << prom << " summary\n";
-    out << prom << "{quantile=\"0.5\"} " << format_number(row.p50) << "\n";
-    out << prom << "{quantile=\"0.9\"} " << format_number(row.p90) << "\n";
-    out << prom << "{quantile=\"0.99\"} " << format_number(row.p99) << "\n";
-    out << prom << "_sum " << format_number(row.sum) << "\n";
-    out << prom << "_count " << row.count << "\n";
+    out << prom << "{quantile=\"0.5\"} " << format_number(h->quantile(0.50)) << "\n";
+    out << prom << "{quantile=\"0.9\"} " << format_number(h->quantile(0.90)) << "\n";
+    out << prom << "{quantile=\"0.99\"} " << format_number(h->quantile(0.99)) << "\n";
+    out << prom << "_sum " << format_number(h->sum()) << "\n";
+    out << prom << "_count " << h->count() << "\n";
   }
   return out.str();
 }
@@ -279,18 +173,10 @@ void Registry::reset() {
   std::lock_guard lock(mu_);
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
   for (auto& [name, h] : latencies_) h->reset();
 }
 
-}  // namespace ctwatch::obs
-
-#endif  // CTWATCH_OBS_DISABLED
-
-namespace ctwatch::obs {
-
 void preregister_pipeline_metrics() {
-#ifndef CTWATCH_OBS_DISABLED
   Registry& registry = Registry::global();
   for (const char* name : {
            "ct.log.submissions", "ct.log.accepted", "ct.log.rejected_invalid",
@@ -317,18 +203,18 @@ void preregister_pipeline_metrics() {
   registry.gauge("par.workers");
   registry.gauge("par.imbalance.census");
   registry.gauge("par.imbalance.funnel");
-  registry.histogram("ct.log.merkle_integrate_us");
-  // Per-stage submission latencies (log-linear: auto-ranging, mergeable).
-  // One certificate's journey: queue wait -> batch merge delay -> STH sign
-  // -> fanout dispatch; enum.* mirror the §4 funnel stages.
+  // Latencies: the CtLog Merkle integration step, then the per-stage
+  // submission latencies of one certificate's journey (queue wait -> batch
+  // merge delay -> STH sign -> fanout dispatch); enum.* mirror the §4
+  // funnel stages.
   for (const char* name : {
+           "ct.log.merkle_integrate_us",
            "logsvc.queue_wait_us", "logsvc.merge_delay_us", "logsvc.sign_us",
            "logsvc.fanout_dispatch_us", "logsvc.submit_us",
            "enum.funnel.stage_us", "multilog.submit_wall_us",
        }) {
     registry.latency(name);
   }
-#endif
 }
 
 }  // namespace ctwatch::obs

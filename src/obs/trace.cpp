@@ -1,7 +1,5 @@
 #include "ctwatch/obs/trace.hpp"
 
-#ifndef CTWATCH_OBS_DISABLED
-
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -230,5 +228,3 @@ TraceContext Span::context() const {
 }
 
 }  // namespace ctwatch::obs
-
-#endif  // CTWATCH_OBS_DISABLED

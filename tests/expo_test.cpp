@@ -30,8 +30,6 @@ namespace {
 
 using namespace std::chrono_literals;
 
-#ifndef CTWATCH_OBS_DISABLED
-
 // ---------- tiny blocking HTTP client ----------
 
 class Client {
@@ -282,19 +280,6 @@ TEST(ExpoServerTest, ConcurrentScrapesDuringTrafficAreRaceFree) {
   service.stop();
   server.stop();
 }
-
-#else  // CTWATCH_OBS_DISABLED
-
-TEST(ExpoServerDisabledTest, StartFailsInert) {
-  ExpoServer server;
-  EXPECT_FALSE(server.start());
-  EXPECT_FALSE(server.running());
-  EXPECT_EQ(server.port(), 0);
-  EXPECT_EQ(server.requests_served(), 0u);
-  server.stop();
-}
-
-#endif  // CTWATCH_OBS_DISABLED
 
 }  // namespace
 }  // namespace ctwatch::obs

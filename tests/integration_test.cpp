@@ -270,7 +270,6 @@ TEST(EndToEnd, Section34MonitorFlagsWhatTheStudyExplains) {
 
 // ---------- the metrics snapshot producer ----------
 
-#ifndef CTWATCH_OBS_DISABLED
 TEST(EndToEnd, MetricsSnapshotHonorsEnvAndCarriesPreregisteredKeys) {
   const std::string path = ::testing::TempDir() + "/ctwatch_metrics_snapshot.json";
   ::setenv("CTWATCH_METRICS_JSON", path.c_str(), 1);
@@ -311,7 +310,6 @@ TEST(EndToEnd, MetricsSnapshotHonorsEnvAndCarriesPreregisteredKeys) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
 }
-#endif  // CTWATCH_OBS_DISABLED
 
 }  // namespace
 }  // namespace ctwatch

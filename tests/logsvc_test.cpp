@@ -488,9 +488,6 @@ TEST(AppendOnlyStoreTest, CapacityExhaustionIsTypedAndNonDestructive) {
   for (std::uint64_t i = 0; i < 16; ++i) EXPECT_EQ(store.at(i), i);
 }
 
-
-#ifndef CTWATCH_OBS_DISABLED
-
 // One submission's causal span tree: the submit span (caller thread), the
 // sequencer's per-entry span, and the fanout dispatch span (dispatcher
 // thread) share one trace id and chain parent -> child across all three
@@ -554,8 +551,6 @@ TEST(LogServiceTest, SubmissionSpanTreeCrossesThreeThreads) {
   tracer.clear();
 }
 
-#endif  // CTWATCH_OBS_DISABLED
-
 // Per-stage latency histograms fill during normal operation: every stage
 // of a submission's journey lands at least one observation.
 TEST(LogServiceTest, StageLatencyHistogramsObserveTraffic) {
@@ -582,17 +577,10 @@ TEST(LogServiceTest, StageLatencyHistogramsObserveTraffic) {
     service.stop();
   }
 
-#ifndef CTWATCH_OBS_DISABLED
   EXPECT_GE(queue_wait.count(), queue_wait_before + 3);
   EXPECT_GE(merge_delay.count(), merge_delay_before + 1);
   EXPECT_GE(sign.count(), sign_before + 3);
   EXPECT_GE(dispatch.count(), dispatch_before + 3);
-#else
-  EXPECT_EQ(queue_wait.count(), 0u);
-  EXPECT_EQ(merge_delay.count(), 0u);
-  EXPECT_EQ(sign.count(), 0u);
-  EXPECT_EQ(dispatch.count(), 0u);
-#endif
 }
 
 }  // namespace

@@ -267,11 +267,9 @@ TEST(NamePoolTest, ObsGaugesTrackPoolLifetime) {
     for (int i = 0; i < 1000; ++i) {
       pool.intern_text("gauge-" + std::to_string(i) + ".example.org");
     }
-#ifndef CTWATCH_OBS_DISABLED
     EXPECT_GE(registry.gauge("namepool.bytes").value(),
               bytes_before + static_cast<std::int64_t>(pool.bytes_used()));
     EXPECT_EQ(registry.gauge("namepool.names").value(), names_before + 1000);
-#endif
   }
   // Destruction returns the gauges to their prior level.
   EXPECT_EQ(registry.gauge("namepool.bytes").value(), bytes_before);

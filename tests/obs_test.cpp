@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -9,12 +10,11 @@
 #include <thread>
 #include <vector>
 
+#include "ctwatch/logsvc/logsvc.hpp"
 #include "ctwatch/obs/obs.hpp"
 
 namespace ctwatch::obs {
 namespace {
-
-#ifndef CTWATCH_OBS_DISABLED
 
 // ---------- counters / gauges ----------
 
@@ -50,7 +50,7 @@ TEST(ObsMetricsTest, RegistryReturnsStableHandles) {
 
 TEST(ObsMetricsTest, ConcurrentIncrementsSumExactly) {
   Counter c;
-  Histogram h(exponential_bounds(1.0, 2.0, 10));
+  LogLinearHistogram h;
   constexpr int kThreads = 4;
   constexpr std::uint64_t kPerThread = 100000;
   std::vector<std::thread> threads;
@@ -69,52 +69,11 @@ TEST(ObsMetricsTest, ConcurrentIncrementsSumExactly) {
   EXPECT_DOUBLE_EQ(h.sum(), 8.0 * kThreads * kPerThread);
 }
 
-// ---------- histograms ----------
-
-TEST(ObsHistogramTest, BucketingAndMean) {
-  Histogram h({1.0, 10.0, 100.0});
-  h.observe(0.5);    // bucket <=1
-  h.observe(5.0);    // bucket <=10
-  h.observe(50.0);   // bucket <=100
-  h.observe(500.0);  // overflow
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_DOUBLE_EQ(h.sum(), 555.5);
-  EXPECT_DOUBLE_EQ(h.mean(), 555.5 / 4.0);
-  const std::vector<std::uint64_t> buckets = h.bucket_counts();
-  ASSERT_EQ(buckets.size(), 4u);
-  EXPECT_EQ(buckets[0], 1u);
-  EXPECT_EQ(buckets[1], 1u);
-  EXPECT_EQ(buckets[2], 1u);
-  EXPECT_EQ(buckets[3], 1u);
-}
-
-TEST(ObsHistogramTest, QuantilesOnKnownDistribution) {
-  // 1..100 uniformly with unit-wide buckets: pXX must land within one
-  // bucket width of XX.
-  std::vector<double> bounds;
-  for (int i = 1; i <= 100; ++i) bounds.push_back(static_cast<double>(i));
-  Histogram h(bounds);
-  for (int v = 1; v <= 100; ++v) h.observe(static_cast<double>(v));
-  EXPECT_NEAR(h.quantile(0.50), 50.0, 1.0);
-  EXPECT_NEAR(h.quantile(0.90), 90.0, 1.0);
-  EXPECT_NEAR(h.quantile(0.99), 99.0, 1.0);
-  EXPECT_NEAR(h.quantile(1.00), 100.0, 1.0);
-  // Empty histogram reports 0.
-  Histogram empty({1.0, 2.0});
-  EXPECT_DOUBLE_EQ(empty.quantile(0.5), 0.0);
-}
-
-TEST(ObsHistogramTest, OverflowMassReportsLargestBound) {
-  Histogram h({1.0, 2.0});
-  for (int i = 0; i < 10; ++i) h.observe(1000.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 2.0);
-}
-
 TEST(ObsMetricsTest, RenderJsonShape) {
   Registry& registry = Registry::global();
   registry.counter("obs_test.json_counter").reset();
   registry.counter("obs_test.json_counter").inc(5);
-  registry.histogram("obs_test.json_hist", {1.0, 2.0}).observe(1.5);
+  registry.latency("obs_test.json_hist").observe(1.5);
   const std::string json = registry.render_json();
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
@@ -129,7 +88,8 @@ TEST(ObsMetricsTest, PreregisterPipelineMetricsCreatesHeadlineKeys) {
   const std::string json = Registry::global().render_json();
   for (const char* key :
        {"ct.log.submissions", "ct.log.overload_rejections", "monitor.sct.cert",
-        "monitor.sct.tls", "monitor.sct.ocsp", "sim.timeline.issued"}) {
+        "monitor.sct.tls", "monitor.sct.ocsp", "sim.timeline.issued",
+        "ct.log.merkle_integrate_us"}) {
     EXPECT_NE(json.find(std::string("\"") + key + "\""), std::string::npos) << key;
   }
 }
@@ -224,29 +184,6 @@ TEST(ObsLogTest, RateLimitSuppressesRepeats) {
   logger.set_rate_limit(0);
   logger.set_level(LogLevel::off);
   logger.set_sink(nullptr);
-}
-
-
-// ---------- quantile edge cases (fixed-bucket) ----------
-
-TEST(ObsHistogramTest, QuantileEdgeCasesClampToFiniteRange) {
-  Histogram h({1.0, 2.0, 4.0});
-  h.observe(0.5);
-  h.observe(3.0);
-  // q is clamped into [0,1]; NaN reads as 0.
-  EXPECT_DOUBLE_EQ(h.quantile(-1.0), h.quantile(0.0));
-  EXPECT_DOUBLE_EQ(h.quantile(2.0), h.quantile(1.0));
-  EXPECT_DOUBLE_EQ(h.quantile(std::nan("")), h.quantile(0.0));
-  // q=0 targets the first observation's bucket, not a value below it.
-  EXPECT_GE(h.quantile(0.0), 0.0);
-  EXPECT_LE(h.quantile(0.0), 1.0);
-  // q=1 stays within the largest finite bound.
-  EXPECT_LE(h.quantile(1.0), 4.0);
-  // Degenerate layout: no bounds at all -> everything is overflow, and
-  // the reported quantile is the (empty) finite range's fallback, 0.
-  Histogram unbounded(std::vector<double>{});
-  unbounded.observe(123.0);
-  EXPECT_DOUBLE_EQ(unbounded.quantile(0.5), 0.0);
 }
 
 // ---------- log-linear histogram ----------
@@ -423,6 +360,40 @@ TEST(ObsMetricsTest, LatencyHistogramsShareRenderedHistogramSection) {
   EXPECT_NE(json.find("\"obs_test.shared.lat_us\":{\"count\":1"), std::string::npos);
   const std::string text = registry.render_text();
   EXPECT_NE(text.find("obs_test.shared.lat_us count=1"), std::string::npos);
+
+  // A pipeline series recorded by a running service renders exactly once
+  // in each output: one JSON distribution, one Prometheus summary.
+  {
+    logsvc::Config config;
+    config.name = "Obs Render Once";
+    config.scheme = crypto::SignatureScheme::hmac_sha256_simulated;
+    logsvc::LogService service(config);
+    ct::SignedEntry entry;
+    entry.type = ct::EntryType::x509_entry;
+    entry.data = to_bytes("obs-render-once");
+    std::promise<logsvc::SubmitStatus> sealed;
+    ASSERT_EQ(service.submit(entry, crypto::Sha256::hash(entry.data), "Test CA",
+                             SimTime::parse("2018-04-01"),
+                             [&sealed](const logsvc::SubmitOutcome& outcome) {
+                               sealed.set_value(outcome.status);
+                             }),
+              logsvc::SubmitStatus::ok);
+    EXPECT_EQ(sealed.get_future().get(), logsvc::SubmitStatus::ok);
+    service.stop();
+  }
+  EXPECT_GE(registry.latency("logsvc.batch_size").count(), 1u);
+  const auto occurrences = [](const std::string& haystack, const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = haystack.find(needle); at != std::string::npos;
+         at = haystack.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(occurrences(registry.render_json(), "\"logsvc.batch_size\":{\"count\":"), 1u);
+  const std::string prom = registry.render_prometheus();
+  EXPECT_EQ(occurrences(prom, "# TYPE ctwatch_logsvc_batch_size "), 1u);
+  EXPECT_EQ(occurrences(prom, "# TYPE ctwatch_logsvc_batch_size summary\n"), 1u);
 }
 
 // ---------- causal tracing ----------
@@ -698,26 +669,6 @@ TEST(ObsLogTest, ConcurrentEmittersDropExactlyAndNeverInterleave) {
   logger.set_level(LogLevel::off);
   logger.set_sink(nullptr);
 }
-
-#else  // CTWATCH_OBS_DISABLED
-
-// The disabled build keeps the API callable and inert.
-TEST(ObsDisabledTest, ApiIsCallableAndInert) {
-  Registry& registry = Registry::global();
-  registry.counter("x").inc(5);
-  EXPECT_EQ(registry.counter("x").value(), 0u);
-  registry.histogram("h").observe(1.0);
-  EXPECT_EQ(registry.histogram("h").count(), 0u);
-  {
-    CTWATCH_SPAN("never recorded");
-  }
-  EXPECT_TRUE(Tracer::global().spans().empty());
-  log_error("obs_test", "dropped", {{"k", "v"}});
-  EXPECT_EQ(Logger::global().emitted(), 0u);
-  EXPECT_EQ(registry.render_json(), "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
-}
-
-#endif  // CTWATCH_OBS_DISABLED
 
 }  // namespace
 }  // namespace ctwatch::obs

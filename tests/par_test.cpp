@@ -148,7 +148,6 @@ TEST(TaskPoolTest, EveryTaskRunsExactlyOnce) {
   EXPECT_EQ(sum.load(), 1000u * 1001u / 2);
 }
 
-#ifndef CTWATCH_OBS_DISABLED
 TEST(TaskPoolTest, SubmitPropagatesTraceContextToWorkers) {
   // With the tracer on, a span open at submit() time becomes the parent
   // of spans the task opens on whatever worker thread runs it — the
@@ -221,7 +220,6 @@ TEST(TaskPoolTest, DisabledTracerAddsNoWrappingAndNoSpans) {
   EXPECT_EQ(ran.load(), 16);
   EXPECT_TRUE(tracer.spans().empty());
 }
-#endif  // CTWATCH_OBS_DISABLED
 
 TEST(TaskPoolTest, GroupIsReusableAfterWait) {
   TaskPool pool(2);
