@@ -10,8 +10,6 @@
 // attacker that follows the log stream and resolves the leaked names.
 #include "bench_common.hpp"
 
-#include "ctwatch/ct/stream.hpp"
-
 #include <set>
 
 using namespace ctwatch;
@@ -131,9 +129,8 @@ int main(int argc, char** argv) {
       universe,
       dns::RecursiveResolver::Identity{net::IPv4(198, 18, 0, 66), 64666, "ct-fed", false});
   std::uint64_t ct_probes = 0, ct_v4_hits = 0, ct_v6_hits = 0;
-  ct::BatchPoller poller(log);
-  for (const ct::LogEntry& entry : poller.poll()) {
-    for (const std::string& fqdn : entry.certificate.tbs.dns_names()) {
+  for (const ct::LogEntry& entry : log.get_entries(0, log.tree_size())) {
+    for (const std::string& fqdn : ct::entry_tbs(entry.signed_entry)->tbs.dns_names()) {
       const auto name = dns::DnsName::parse(fqdn);
       if (!name) continue;
       const auto a = resolver.resolve(*name, dns::RrType::A, t0 + 7200);

@@ -231,11 +231,11 @@ LegResult run_honest_leg(const Options& options, std::size_t fanout, Shape shape
   for (std::uint64_t round = 1; round <= options.rounds; ++round) {
     std::promise<void> sealed;
     auto wait = sealed.get_future();
-    const logsvc::SubmitStatus status = honest.submit(
+    const ct::SubmitStatus status = honest.submit(
         ct::SignedEntry{ct::EntryType::x509_entry, to_bytes("h-" + std::to_string(round)), {}},
         crypto::Sha256::hash(to_bytes("hfp-" + std::to_string(round))), "CA", at_round(round),
-        [&sealed](const logsvc::SubmitOutcome&) { sealed.set_value(); });
-    if (status == logsvc::SubmitStatus::ok) wait.get();
+        [&sealed](const ct::SubmitResult&) { sealed.set_value(); });
+    if (status == ct::SubmitStatus::ok) wait.get();
     net.step(at_round(round));
   }
   result.detected = net.detected();

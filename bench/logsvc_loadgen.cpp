@@ -125,14 +125,14 @@ int main(int argc, char** argv) {
         std::memcpy(fingerprint.data() + 1, &ordinal, sizeof(ordinal));
         ++stats.attempted;
         const auto t0 = Clock::now();
-        const logsvc::SubmitStatus status = service.submit(
+        const ct::SubmitStatus status = service.submit(
             ct::SignedEntry{entry}, fingerprint, {}, sim_now,
-            [t0, &latency_us, &completed](const logsvc::SubmitOutcome&) {
+            [t0, &latency_us, &completed](const ct::SubmitResult&) {
               latency_us.observe(
                   std::chrono::duration<double, std::micro>(Clock::now() - t0).count());
               completed.fetch_add(1, std::memory_order_relaxed);
             });
-        if (status == logsvc::SubmitStatus::ok) {
+        if (status == ct::SubmitStatus::ok) {
           ++stats.queued;
         } else {
           ++stats.overloaded;

@@ -93,14 +93,14 @@ ct::SignedEntry entry_of(std::uint64_t n) {
   return entry;
 }
 
-logsvc::SubmitOutcome submit_wait(logsvc::LogService& service, std::uint64_t n) {
-  std::promise<logsvc::SubmitOutcome> promise;
+ct::SubmitResult submit_wait(logsvc::LogService& service, std::uint64_t n) {
+  std::promise<ct::SubmitResult> promise;
   auto future = promise.get_future();
-  const logsvc::SubmitStatus status = service.submit(
+  const ct::SubmitStatus status = service.submit(
       entry_of(n), digest_of("churn-fp-" + std::to_string(n)), "Churn CA",
       SimTime::parse("2018-04-01"),
-      [&promise](const logsvc::SubmitOutcome& outcome) { promise.set_value(outcome); });
-  if (status != logsvc::SubmitStatus::ok) return logsvc::SubmitOutcome{status, 0, std::nullopt};
+      [&promise](const ct::SubmitResult& outcome) { promise.set_value(outcome); });
+  if (status != ct::SubmitStatus::ok) return ct::SubmitResult{status, 0, std::nullopt};
   return future.get();
 }
 
@@ -214,13 +214,13 @@ int main(int argc, char** argv) {
     std::uint64_t acked_this_cycle = 0;
     bool crashed = false;
     for (std::uint64_t i = 0; i < options.entries; ++i) {
-      const logsvc::SubmitOutcome outcome = submit_wait(service, submitted);
+      const ct::SubmitResult outcome = submit_wait(service, submitted);
       ++submitted;
-      if (outcome.status == logsvc::SubmitStatus::ok) {
+      if (outcome.status == ct::SubmitStatus::ok) {
         ++acked_this_cycle;
         ++acked_total;
         last_acked = service.get_sth();
-      } else if (outcome.status == logsvc::SubmitStatus::storage_error) {
+      } else if (outcome.status == ct::SubmitStatus::storage_error) {
         ++storage_errors;
         crashed = true;
         break;  // fail-stop: the store is dead until reopen

@@ -119,14 +119,14 @@ ct::SignedEntry live_entry(std::uint64_t n) {
   return entry;
 }
 
-logsvc::SubmitOutcome submit_wait(logsvc::LogService& service, std::uint64_t n) {
-  std::promise<logsvc::SubmitOutcome> promise;
+ct::SubmitResult submit_wait(logsvc::LogService& service, std::uint64_t n) {
+  std::promise<ct::SubmitResult> promise;
   auto future = promise.get_future();
-  const logsvc::SubmitStatus status = service.submit(
+  const ct::SubmitStatus status = service.submit(
       live_entry(n), digest_of("tile-scale-fp-" + std::to_string(n)), "Tile Scale CA",
       SimTime::parse("2018-04-01"),
-      [&promise](const logsvc::SubmitOutcome& outcome) { promise.set_value(outcome); });
-  if (status != logsvc::SubmitStatus::ok) return logsvc::SubmitOutcome{status, 0, std::nullopt};
+      [&promise](const ct::SubmitResult& outcome) { promise.set_value(outcome); });
+  if (status != ct::SubmitStatus::ok) return ct::SubmitResult{status, 0, std::nullopt};
   return future.get();
 }
 
@@ -205,10 +205,8 @@ int main(int argc, char** argv) {
         probe.add(entry.leaf_hash);
         batch.entries.push_back(std::move(entry));
       }
-      batch.sth.tree_size = probe.size();
-      batch.sth.timestamp_ms = batch.entries.back().timestamp_ms;
-      batch.sth.root_hash = probe.root();
-      batch.sth.signature = signer->sign(ct::sth_signing_input(batch.sth));
+      batch.sth =
+          ct::sign_sth(*signer, probe.size(), batch.entries.back().timestamp_ms, probe.root());
       batch.seal_seq = store.seal_seq() + 1;
       if (!store.commit_batch(batch).ok()) {
         std::fprintf(stderr, "FAIL: commit refused at tree size %" PRIu64 "\n",
@@ -264,7 +262,7 @@ int main(int argc, char** argv) {
 
   std::uint64_t live_acked = 0;
   for (std::uint64_t i = 0; i < options.live; ++i) {
-    if (submit_wait(service, i).status == logsvc::SubmitStatus::ok) ++live_acked;
+    if (submit_wait(service, i).status == ct::SubmitStatus::ok) ++live_acked;
   }
   const std::uint64_t size = service.tree_size();
   const ct::SignedTreeHead sth = service.get_sth();
@@ -306,7 +304,7 @@ int main(int argc, char** argv) {
     if (q % 8 == 0) {
       const std::uint64_t start = rng() % size;
       const auto e0 = std::chrono::steady_clock::now();
-      const std::vector<logsvc::EntryRecord> records = service.get_entries(start, 32);
+      const std::vector<ct::LogEntry> records = service.get_entries(start, 32);
       entries_us.push_back(
           std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - e0)
               .count());

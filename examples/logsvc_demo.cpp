@@ -55,17 +55,17 @@ int main() {
   const x509::Certificate precert =
       ca.issue(request, SimTime::parse("2018-04-01 10:00:00")).precertificate;
 
-  std::promise<logsvc::SubmitOutcome> promise;
+  std::promise<ct::SubmitResult> promise;
   auto outcome_future = promise.get_future();
-  const logsvc::SubmitStatus status = service.submit_pre_chain(
+  const ct::SubmitStatus status = service.submit_pre_chain(
       precert, ca.public_key(), SimTime::parse("2018-04-01 10:00:00"),
-      [&promise](const logsvc::SubmitOutcome& outcome) { promise.set_value(outcome); });
-  if (status != logsvc::SubmitStatus::ok) {
+      [&promise](const ct::SubmitResult& outcome) { promise.set_value(outcome); });
+  if (status != ct::SubmitStatus::ok) {
     std::printf("submission rejected\n");
     return 1;
   }
   std::printf("submitted; waiting out the merge delay...\n");
-  const logsvc::SubmitOutcome outcome = outcome_future.get();  // sealed + published
+  const ct::SubmitResult outcome = outcome_future.get();  // sealed + published
   std::printf("SCT received for leaf index %llu\n",
               static_cast<unsigned long long>(outcome.index));
 
@@ -105,11 +105,11 @@ int main() {
     ct::SignedTreeHead before_restart;
     {
       logsvc::LogService durable(durable_config);
-      std::promise<logsvc::SubmitOutcome> sealed;
+      std::promise<ct::SubmitResult> sealed;
       auto sealed_future = sealed.get_future();
       durable.submit_pre_chain(
           precert, ca.public_key(), SimTime::parse("2018-04-01 10:05:00"),
-          [&sealed](const logsvc::SubmitOutcome& o) { sealed.set_value(o); });
+          [&sealed](const ct::SubmitResult& o) { sealed.set_value(o); });
       sealed_future.get();
       before_restart = durable.get_sth();
       durable.stop();  // flush-and-close: seals are already on disk

@@ -1,13 +1,12 @@
 // A brand-protection service built on CT (the §5 scenario, and what
 // Facebook's/CertSpotter's notification tools do): follow the logs live via
-// a CertStream-style subscription, check every new certificate's DNS names
-// against brand rules, and alert on lookalikes — while never flagging the
-// brand's real infrastructure.
+// a log subscription (the CertStream primitive), check every new
+// certificate's DNS names against brand rules, and alert on lookalikes —
+// while never flagging the brand's real infrastructure.
 //
 // Build & run:  ./build/examples/phishing_monitor
 #include <cstdio>
 
-#include "ctwatch/ct/stream.hpp"
 #include "ctwatch/phishing/detector.hpp"
 #include "ctwatch/sim/ca.hpp"
 #include "ctwatch/sim/phishing_gen.hpp"
@@ -25,17 +24,15 @@ int main() {
   sim::CertificateAuthority ca("Budget CA", "Budget DV CA",
                                crypto::SignatureScheme::hmac_sha256_simulated);
 
-  // The brand-protection backend: CertStream -> name extraction -> detector.
+  // The brand-protection backend: log subscription -> name extraction -> detector.
   const dns::PublicSuffixList psl = dns::PublicSuffixList::bundled();
   phishing::PhishingDetector detector(psl, phishing::standard_rules());
   std::uint64_t alerts = 0;
   std::uint64_t seen = 0;
 
-  ct::CertStream stream;
-  stream.attach(log);
-  stream.on_entry([&](const ct::CtLog&, const ct::LogEntry& entry) {
+  log.subscribe([&](const ct::CtLog&, const ct::LogEntry& entry) {
     ++seen;
-    const auto names = entry.certificate.tbs.dns_names();
+    const auto names = ct::entry_tbs(entry.signed_entry)->tbs.dns_names();
     const auto findings = detector.scan(names);
     for (const auto& finding : findings) {
       ++alerts;

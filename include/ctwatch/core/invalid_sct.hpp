@@ -34,11 +34,11 @@ struct InvalidSctCase {
   RootCause cause = RootCause::unknown;
 };
 
-/// Compares a final certificate against the precertificate the log
-/// actually signed (fetched from the log by serial) and classifies the
-/// divergence.
+/// Compares a final certificate against the precertificate TBS the log
+/// actually signed (fetched from the log by serial; see ct::entry_tbs) and
+/// classifies the divergence.
 RootCause classify_divergence(const x509::Certificate& final_cert,
-                              const std::optional<x509::Certificate>& precert);
+                              const std::optional<x509::TbsCertificate>& precert);
 
 struct InvalidSctReport {
   std::vector<InvalidSctCase> cases;

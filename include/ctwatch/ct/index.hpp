@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "ctwatch/ct/stream.hpp"
+#include "ctwatch/ct/log.hpp"
 #include "ctwatch/dns/psl.hpp"
 
 namespace ctwatch::ct {
@@ -38,7 +38,8 @@ class LogIndex {
  public:
   explicit LogIndex(const dns::PublicSuffixList& psl) : psl_(&psl) {}
 
-  /// Indexes a log's existing entries (requires store_bodies).
+  /// Indexes a log's existing entries. Names come from the stored bodies:
+  /// a store_bodies=false log indexes by issuer only.
   void index_log(const CtLog& log);
   /// Live indexing: subscribes to the log and indexes future entries too.
   void attach(CtLog& log);

@@ -25,16 +25,17 @@
 
 namespace ctwatch::ct {
 
-/// One integrated log entry.
+/// One integrated log entry: the record both log cores (CtLog here,
+/// logsvc::LogService) keep and serve from get-entries. The certificate
+/// itself lives only in `signed_entry`; entry_tbs() decodes it.
 struct LogEntry {
   std::uint64_t index = 0;
   std::uint64_t timestamp_ms = 0;
-  SignedEntry signed_entry;
-  x509::Certificate certificate;  ///< as submitted (precert keeps its poison)
-  std::string issuer_cn;          ///< convenience for the §2 analyses
-  crypto::Digest fingerprint{};   ///< SHA-256 of the submitted DER; kept even
-                                  ///< in slim mode so cross-log entries of
-                                  ///< one certificate can be deduplicated
+  SignedEntry signed_entry;      ///< empty unless the log stores bodies
+  std::string issuer_cn;         ///< convenience for the §2 analyses
+  crypto::Digest fingerprint{};  ///< SHA-256 of the submitted DER; kept even
+                                 ///< in slim mode so cross-log entries of
+                                 ///< one certificate can be deduplicated
 };
 
 /// The serialized MerkleTreeLeaf for an entry (RFC 6962 §3.4).
@@ -50,21 +51,28 @@ struct LogConfig {
   bool verify_submissions = true;
   /// Submissions per hour the log can absorb; 0 = unlimited.
   std::uint64_t capacity_per_hour = 0;
-  /// Retain full entry bodies (certificate + signed entry). Bulk timeline
-  /// simulations disable this and keep only (index, time, issuer) — the
+  /// Retain entry bodies (the signed entry). Bulk timeline simulations
+  /// disable this and keep only (index, time, issuer, fingerprint) — the
   /// Merkle tree always keeps every leaf hash either way. Deduplication
   /// requires bodies and is disabled alongside.
   bool store_bodies = true;
 };
 
+/// How a submission ended, for both log cores. CtLog only ever reports
+/// the first three; the rest come from logsvc::LogService.
 enum class SubmitStatus : std::uint8_t {
-  ok,
-  rejected_invalid,  ///< chain did not verify
-  overloaded,        ///< capacity exceeded (Nimbus incident model)
+  ok,                ///< accepted: SCT issued (logsvc: via the CompletionFn)
+  rejected_invalid,  ///< chain did not verify / wrong entry kind
+  overloaded,        ///< capacity exceeded or queue full (Nimbus incident model)
+  shutdown,          ///< logsvc: service is stopping
+  dropped,           ///< logsvc chaos: submission lost at ingress (injected fault)
+  internal_error,    ///< logsvc chaos: signer failed at seal time
+  storage_error,     ///< logsvc: durable commit failed, entry NOT integrated
 };
 
 struct SubmitResult {
   SubmitStatus status = SubmitStatus::ok;
+  std::uint64_t index = 0;  ///< leaf index when ok (the original one on a dedup hit)
   std::optional<SignedCertificateTimestamp> sct;
 };
 
@@ -76,7 +84,7 @@ class CtLog {
   [[nodiscard]] const LogConfig& config() const { return config_; }
   [[nodiscard]] const std::string& name() const { return config_.name; }
   [[nodiscard]] Bytes public_key() const { return signer_->public_key(); }
-  [[nodiscard]] LogId log_id() const;
+  [[nodiscard]] const LogId& log_id() const { return log_id_; }
 
   /// add-chain (final certificate). `issuer_public_key` is the issuing
   /// CA's key for chain validation.
@@ -114,6 +122,7 @@ class CtLog {
 
   LogConfig config_;
   std::unique_ptr<crypto::Signer> signer_;
+  LogId log_id_;
   MerkleTree tree_;
   std::vector<LogEntry> entries_;
   std::map<Bytes, std::uint64_t> dedup_;  ///< fingerprint -> entry index

@@ -34,6 +34,16 @@ SignedEntry make_x509_entry(const x509::Certificate& cert);
 /// from a final certificate when validating embedded SCTs.
 SignedEntry make_precert_entry(const x509::Certificate& cert, BytesView issuer_public_key);
 
+/// The TBS a SignedEntry carries, as a log reader sees it.
+struct EntryTbs {
+  x509::TbsCertificate tbs;     ///< precert entries: poison/SCT-list already stripped
+  bool precertificate = false;  ///< from the entry type
+};
+/// The inverse of make_x509_entry / make_precert_entry: decodes the
+/// certificate (x509_entry) or the defanged TBS (precert_entry). Entries
+/// stored without their body yield nullopt. Throws on malformed DER.
+std::optional<EntryTbs> entry_tbs(const SignedEntry& entry);
+
 /// A Signed Certificate Timestamp: the log's inclusion promise.
 struct SignedCertificateTimestamp {
   std::uint8_t version = 0;  ///< v1
@@ -54,6 +64,12 @@ struct SignedCertificateTimestamp {
 /// The exact byte string an SCT signature covers (RFC 6962 §3.2
 /// digitally-signed struct).
 Bytes sct_signing_input(const SignedCertificateTimestamp& sct, const SignedEntry& entry);
+
+/// Issues an SCT over `entry` (v1, no extensions): the one SCT signing
+/// path every log core uses. `log_id` is the signer's key_id(), which each
+/// log derives once.
+SignedCertificateTimestamp sign_sct(const crypto::Signer& signer, const LogId& log_id,
+                                    std::uint64_t timestamp_ms, const SignedEntry& entry);
 
 /// Verifies an SCT over an entry with the issuing log's public key bytes.
 bool verify_sct(const SignedCertificateTimestamp& sct, const SignedEntry& entry,
@@ -76,6 +92,9 @@ struct SignedTreeHead {
 
 /// The byte string an STH signature covers (RFC 6962 §3.5 TreeHeadSignature).
 Bytes sth_signing_input(const SignedTreeHead& sth);
+/// Signs a tree head: the one STH signing path every log core uses.
+SignedTreeHead sign_sth(const crypto::Signer& signer, std::uint64_t tree_size,
+                        std::uint64_t timestamp_ms, const crypto::Digest& root_hash);
 bool verify_sth(const SignedTreeHead& sth, BytesView log_public_key);
 
 }  // namespace ctwatch::ct

@@ -77,7 +77,4 @@ class Value {
 /// nesting depth capped). nullopt on any malformation.
 [[nodiscard]] std::optional<Value> parse(std::string_view text);
 
-/// JSON string escaping (quotes not included).
-[[nodiscard]] std::string escape(std::string_view raw);
-
 }  // namespace ctwatch::httpd::json

@@ -1,11 +1,11 @@
 // ctwatch::logsvc — streaming fanout to subscribers.
 //
-// The CertStream primitive (`ct::stream`) calls subscribers synchronously
-// from the submit path, so one slow consumer stalls the log. Here every
-// subscriber gets a bounded ring and its own dispatch thread; the
-// sequencer's publish() is a try_push that never blocks. A full ring
-// drops the event for that subscriber and counts it — lag is explicit
-// and observable instead of propagating backwards into SCT issuance.
+// `ct::CtLog::subscribe` calls subscribers synchronously from the submit
+// path, so one slow consumer stalls the log. Here every subscriber gets a
+// bounded ring and its own dispatch thread; the sequencer's publish() is
+// a try_push that never blocks. A full ring drops the event for that
+// subscriber and counts it — lag is explicit and observable instead of
+// propagating backwards into SCT issuance.
 #pragma once
 
 #include <atomic>

@@ -5,7 +5,8 @@
 // concurrent submissions into a queue, integrate in batches under a merge
 // delay (the MMD), and serve reads from signed-tree-head snapshots. This
 // module is that production shape, built from the same ct primitives
-// (merkle math, SCT/STH signing inputs, wire serialization):
+// (merkle math, SCT/STH signing, wire serialization) and speaking the same
+// vocabulary (ct::LogEntry, ct::SubmitStatus, ct::SubmitResult):
 //
 //   submit() ──> BoundedQueue ──> sequencer thread ──> seal batch:
 //                (backpressure:      drains under        bulk Merkle
@@ -80,12 +81,12 @@ struct Config {
   /// Optional fault seams (not owned; nullptr disables chaos). The
   /// service consults three points, named under `chaos_prefix`:
   ///   "<prefix>.submit" — faults drop the submission at ingress
-  ///                       (returned as SubmitStatus::dropped),
+  ///                       (returned as ct::SubmitStatus::dropped),
   ///   "<prefix>.seal"   — injected latency stalls the sequencer before
   ///                       it seals a batch (delayed merge),
   ///   "<prefix>.sign"   — per-entry signer failure: the entry is not
   ///                       integrated and its completion carries
-  ///                       SubmitStatus::internal_error.
+  ///                       ct::SubmitStatus::internal_error.
   chaos::FaultInjector* chaos = nullptr;
   std::string chaos_prefix = "logsvc";
   /// Optional durable backing store (not owned; nullptr keeps the
@@ -98,7 +99,7 @@ struct Config {
   /// BEFORE its snapshot is published or its SCTs are released, so
   /// get-sth never serves a root the disk cannot prove. The first
   /// storage failure poisons the write path fail-stop: later batches
-  /// complete with SubmitStatus::storage_error while reads keep serving
+  /// complete with ct::SubmitStatus::storage_error while reads keep serving
   /// the last durable snapshot.
   storage::LogStore* storage = nullptr;
   /// Storage-backed reads (requires `storage`). When set, adoption keeps
@@ -114,41 +115,25 @@ struct Config {
   bool paged_reads = false;
 };
 
-enum class SubmitStatus : std::uint8_t {
-  ok,                ///< accepted: the SCT arrives via the CompletionFn
-  rejected_invalid,  ///< chain did not verify / wrong entry kind
-  overloaded,        ///< queue full — backpressure (Nimbus incident model)
-  shutdown,          ///< service is stopping
-  dropped,           ///< chaos: submission lost at ingress (injected fault)
-  internal_error,    ///< chaos: signer failed at seal time (via CompletionFn)
-  storage_error,     ///< durable commit failed: entry NOT integrated (via CompletionFn)
-};
-
-struct SubmitOutcome {
-  SubmitStatus status = SubmitStatus::ok;
-  std::uint64_t index = 0;  ///< assigned leaf index when status == ok
-  std::optional<ct::SignedCertificateTimestamp> sct;
-};
+/// logsvc's former names for ct's vocabulary, kept only because ctbench/
+/// still spells them; everything else uses the ct names. ct::SubmitStatus
+/// documents the logsvc-only values (shutdown, dropped, internal_error,
+/// storage_error), and a ct::LogEntry here keeps its signed_entry body only
+/// when Config::store_bodies.
+using SubmitStatus = ct::SubmitStatus;
+using SubmitOutcome = ct::SubmitResult;
+using EntryRecord = ct::LogEntry;
 
 /// Invoked exactly once per accepted submission, from the sequencer
 /// thread, after the batch's STH snapshot is published (so inclusion can
 /// be proven immediately). Must be cheap and must not call back into the
 /// service's write path.
-using CompletionFn = std::function<void(const SubmitOutcome&)>;
+using CompletionFn = std::function<void(const ct::SubmitResult&)>;
 
 /// An immutable published view of the tree: what every read serves from.
 struct TreeSnapshot {
   ct::SignedTreeHead sth;
   std::uint64_t seal_seq = 0;  ///< number of sealed batches behind this head
-};
-
-/// One integrated entry as the read path exposes it.
-struct EntryRecord {
-  std::uint64_t index = 0;
-  std::uint64_t timestamp_ms = 0;
-  crypto::Digest fingerprint{};
-  std::string issuer_cn;
-  ct::SignedEntry signed_entry;  ///< body kept only when Config::store_bodies
 };
 
 class LogService {
@@ -169,28 +154,28 @@ class LogService {
   // --- identity ---
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] Bytes public_key() const { return signer_->public_key(); }
-  [[nodiscard]] ct::LogId log_id() const;
+  [[nodiscard]] const ct::LogId& log_id() const { return log_id_; }
 
   // --- write path (any thread) ---
 
   /// Raw submission: a pre-built SignedEntry plus its certificate
   /// fingerprint (dedup key) and issuer CN. Returns `ok` when queued; the
   /// outcome (SCT + index) arrives via `done` at seal time.
-  SubmitStatus submit(ct::SignedEntry entry, const crypto::Digest& fingerprint,
-                      std::string issuer_cn, SimTime now, CompletionFn done = {});
+  ct::SubmitStatus submit(ct::SignedEntry entry, const crypto::Digest& fingerprint,
+                          std::string issuer_cn, SimTime now, CompletionFn done = {});
 
   /// add-chain: validates (per Config::verify_submissions) and submits a
   /// final certificate.
-  SubmitStatus submit_chain(const x509::Certificate& cert, BytesView issuer_public_key,
-                            SimTime now, CompletionFn done = {});
-  /// add-pre-chain: validates and submits a precertificate.
-  SubmitStatus submit_pre_chain(const x509::Certificate& precert, BytesView issuer_public_key,
+  ct::SubmitStatus submit_chain(const x509::Certificate& cert, BytesView issuer_public_key,
                                 SimTime now, CompletionFn done = {});
+  /// add-pre-chain: validates and submits a precertificate.
+  ct::SubmitStatus submit_pre_chain(const x509::Certificate& precert, BytesView issuer_public_key,
+                                    SimTime now, CompletionFn done = {});
 
   /// Blocking convenience over submit_chain/submit_pre_chain (picks by
   /// the poison extension): waits through the merge delay for the SCT.
-  SubmitOutcome submit_and_wait(const x509::Certificate& cert, BytesView issuer_public_key,
-                                SimTime now);
+  ct::SubmitResult submit_and_wait(const x509::Certificate& cert, BytesView issuer_public_key,
+                                   SimTime now);
 
   // --- read path (any thread; never contends with the sequencer) ---
 
@@ -215,8 +200,8 @@ class LogService {
   /// get-entries [start, start+count), clamped: empty when start is at or
   /// beyond the published size, the window capped at
   /// Config::max_get_entries, and start+count overflow is harmless.
-  [[nodiscard]] std::vector<EntryRecord> get_entries(std::uint64_t start,
-                                                     std::uint64_t count) const;
+  [[nodiscard]] std::vector<ct::LogEntry> get_entries(std::uint64_t start,
+                                                      std::uint64_t count) const;
   /// Published tree size (== get_sth().tree_size). With paged reads the
   /// resident stores hold only [resident_base_, tree_size).
   [[nodiscard]] std::uint64_t tree_size() const { return resident_base_ + leaves_.size(); }
@@ -296,32 +281,27 @@ class LogService {
     }
   };
 
-  SubmitStatus submit_validated(const x509::Certificate& cert, BytesView issuer_public_key,
-                                SimTime now, ct::EntryType type, CompletionFn done);
+  ct::SubmitStatus submit_validated(const x509::Certificate& cert, BytesView issuer_public_key,
+                                    SimTime now, ct::EntryType type, CompletionFn done);
   void sequencer_main();
   void seal_batch(std::vector<Pending>& batch);
   /// Re-integrates a durable store's recovered state before the
   /// sequencer starts (constructor only; throws on key mismatch).
   void adopt_storage();
-  /// Signs a fresh STH over an accumulator state (the live one, or the
-  /// probe a batch is about to commit).
-  [[nodiscard]] ct::SignedTreeHead sign_sth(const ct::RootAccumulator& accumulator,
-                                            std::uint64_t timestamp_ms) const;
   /// Publishes an already-signed STH — the exact object that was
   /// committed to storage (or recovered from it), never a re-signing.
   void publish_snapshot(ct::SignedTreeHead sth);
-  [[nodiscard]] ct::SignedCertificateTimestamp sign_sct(std::uint64_t timestamp_ms,
-                                                        const ct::SignedEntry& entry) const;
   /// A per-query tile source: pages below the store's durable watermark,
   /// the resident stores above resident_base_. Paged mode only.
   [[nodiscard]] storage::PagedLeafSource paged_source() const;
 
   Config config_;
   std::unique_ptr<crypto::Signer> signer_;
+  ct::LogId log_id_;
 
   BoundedQueue<Pending> queue_;
   AppendOnlyStore<crypto::Digest> leaves_;
-  AppendOnlyStore<EntryRecord> entries_;
+  AppendOnlyStore<ct::LogEntry> entries_;
 
   // Sequencer-private state (no locking: single thread).
   ct::RootAccumulator accumulator_;

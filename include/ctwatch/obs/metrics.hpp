@@ -28,6 +28,11 @@ namespace ctwatch::obs {
 /// on every registry registration.
 [[nodiscard]] bool is_valid_metric_name(std::string_view name);
 
+/// JSON string-body escaping (quotes not included): `"` and `\`, the short
+/// escapes \b \f \n \r \t, any other control character as \u00XX. The
+/// one escaper behind the metrics JSON, chrome traces and httpd.
+[[nodiscard]] std::string json_escape(std::string_view raw);
+
 /// Monotonically increasing event count. Thread-safe; increments are
 /// relaxed — totals are exact, ordering against other metrics is not.
 class Counter {

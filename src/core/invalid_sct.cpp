@@ -28,9 +28,9 @@ std::string to_string(RootCause cause) {
 }
 
 RootCause classify_divergence(const x509::Certificate& final_cert,
-                              const std::optional<x509::Certificate>& precert) {
+                              const std::optional<x509::TbsCertificate>& precert) {
   if (!precert) return RootCause::stale_sct;  // no precert with this serial was ever logged
-  const x509::TbsCertificate& pre = precert->tbs;
+  const x509::TbsCertificate& pre = *precert;
   const x509::TbsCertificate& fin = final_cert.tbs;
 
   if (pre.serial != fin.serial) return RootCause::stale_sct;
@@ -77,20 +77,21 @@ RootCause classify_divergence(const x509::Certificate& final_cert,
 
 namespace {
 
-/// Finds the precertificate entry with the given serial in any of the CA's
-/// logs (requires stored bodies). Serial numbers are only unique per
+/// Finds the logged precertificate TBS with the given serial in any of the
+/// CA's logs (requires stored bodies). Serial numbers are only unique per
 /// issuer, and shared logs contain many issuers, so the issuer organization
 /// must match too (the organization survives even the NetLock-style issuer
 /// CN swap).
-std::optional<x509::Certificate> find_precert(sim::Ecosystem& ecosystem,
-                                              const std::string& ca_name,
-                                              const x509::Certificate& final_cert) {
+std::optional<x509::TbsCertificate> find_precert(sim::Ecosystem& ecosystem,
+                                                 const std::string& ca_name,
+                                                 const x509::Certificate& final_cert) {
   for (ct::CtLog* log : ecosystem.logs_of(ca_name)) {
     for (const ct::LogEntry& entry : log->entries()) {
-      if (entry.certificate.is_precertificate() &&
-          entry.certificate.tbs.serial == final_cert.tbs.serial &&
-          entry.certificate.tbs.issuer.organization == final_cert.tbs.issuer.organization) {
-        return entry.certificate;
+      if (entry.signed_entry.type != ct::EntryType::precert_entry) continue;
+      std::optional<ct::EntryTbs> logged = ct::entry_tbs(entry.signed_entry);
+      if (logged && logged->tbs.serial == final_cert.tbs.serial &&
+          logged->tbs.issuer.organization == final_cert.tbs.issuer.organization) {
+        return std::move(logged->tbs);
       }
     }
   }

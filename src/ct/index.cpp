@@ -6,6 +6,24 @@
 
 namespace ctwatch::ct {
 
+namespace {
+/// The IndexedEntry both services build: names come from the logged TBS,
+/// so an entry stored without its body indexes under its issuer only.
+IndexedEntry make_indexed(const CtLog& log, const LogEntry& entry) {
+  IndexedEntry indexed;
+  indexed.log_name = log.name();
+  indexed.index = entry.index;
+  indexed.timestamp_ms = entry.timestamp_ms;
+  indexed.issuer_cn = entry.issuer_cn;
+  if (std::optional<EntryTbs> logged = entry_tbs(entry.signed_entry)) {
+    indexed.subject_cn = logged->tbs.subject.common_name;
+    indexed.dns_names = logged->tbs.dns_names();
+    indexed.precertificate = logged->precertificate;
+  }
+  return indexed;
+}
+}  // namespace
+
 void LogIndex::index_log(const CtLog& log) {
   for (const LogEntry& entry : log.entries()) add_entry(log, entry);
 }
@@ -17,15 +35,7 @@ void LogIndex::attach(CtLog& log) {
 }
 
 void LogIndex::add_entry(const CtLog& log, const LogEntry& entry) {
-  IndexedEntry indexed;
-  indexed.log_name = log.name();
-  indexed.index = entry.index;
-  indexed.timestamp_ms = entry.timestamp_ms;
-  indexed.subject_cn = entry.certificate.tbs.subject.common_name;
-  indexed.issuer_cn = entry.issuer_cn;
-  indexed.dns_names = entry.certificate.tbs.dns_names();
-  indexed.precertificate = entry.certificate.is_precertificate();
-
+  IndexedEntry indexed = make_indexed(log, entry);
   const std::size_t slot = entries_.size();
   std::set<std::string> registrables;  // one hit per certificate, not per SAN
   for (const std::string& name : indexed.dns_names) {
@@ -68,15 +78,7 @@ std::vector<IndexedEntry> LogIndex::by_issuer(const std::string& issuer_cn) cons
 
 void DomainWatcher::attach(CtLog& log) {
   log.subscribe([this](const CtLog& source, const LogEntry& entry) {
-    IndexedEntry indexed;
-    indexed.log_name = source.name();
-    indexed.index = entry.index;
-    indexed.timestamp_ms = entry.timestamp_ms;
-    indexed.subject_cn = entry.certificate.tbs.subject.common_name;
-    indexed.issuer_cn = entry.issuer_cn;
-    indexed.dns_names = entry.certificate.tbs.dns_names();
-    indexed.precertificate = entry.certificate.is_precertificate();
-
+    const IndexedEntry indexed = make_indexed(source, entry);
     for (const std::string& name : indexed.dns_names) {
       const auto split = psl_->split(name);
       if (!split) continue;

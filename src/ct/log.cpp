@@ -44,24 +44,18 @@ Bytes merkle_leaf_bytes(std::uint64_t timestamp_ms, const SignedEntry& entry) {
 
 CtLog::CtLog(LogConfig config)
     : config_(std::move(config)),
-      signer_(crypto::make_signer("ct-log/" + config_.name, config_.scheme)) {}
-
-LogId CtLog::log_id() const {
-  const crypto::Digest id = signer_->key_id();
-  LogId out{};
-  std::copy(id.begin(), id.end(), out.begin());
-  return out;
-}
+      signer_(crypto::make_signer("ct-log/" + config_.name, config_.scheme)),
+      log_id_(signer_->key_id()) {}
 
 SubmitResult CtLog::add_chain(const x509::Certificate& cert, BytesView issuer_public_key,
                               SimTime now) {
-  if (cert.is_precertificate()) return {SubmitStatus::rejected_invalid, std::nullopt};
+  if (cert.is_precertificate()) return {SubmitStatus::rejected_invalid, 0, std::nullopt};
   return submit(cert, issuer_public_key, now, EntryType::x509_entry);
 }
 
 SubmitResult CtLog::add_pre_chain(const x509::Certificate& precert, BytesView issuer_public_key,
                                   SimTime now) {
-  if (!precert.is_precertificate()) return {SubmitStatus::rejected_invalid, std::nullopt};
+  if (!precert.is_precertificate()) return {SubmitStatus::rejected_invalid, 0, std::nullopt};
   return submit(precert, issuer_public_key, now, EntryType::precert_entry);
 }
 
@@ -79,7 +73,7 @@ SubmitResult CtLog::submit(const x509::Certificate& cert, BytesView issuer_publi
       metrics.overloaded.inc();
       obs::log_debug("ct.log", "submission rejected for overload",
                      {{"log", config_.name}, {"hour", hour}});
-      return {SubmitStatus::overloaded, std::nullopt};
+      return {SubmitStatus::overloaded, 0, std::nullopt};
     }
     ++count;
   }
@@ -88,12 +82,12 @@ SubmitResult CtLog::submit(const x509::Certificate& cert, BytesView issuer_publi
     metrics.rejected_invalid.inc();
     obs::log_debug("ct.log", "submission failed chain verification",
                    {{"log", config_.name}, {"issuer", cert.tbs.issuer.common_name}});
-    return {SubmitStatus::rejected_invalid, std::nullopt};
+    return {SubmitStatus::rejected_invalid, 0, std::nullopt};
   }
 
-  const SignedEntry entry = (type == EntryType::precert_entry)
-                                ? make_precert_entry(cert, issuer_public_key)
-                                : make_x509_entry(cert);
+  SignedEntry entry = (type == EntryType::precert_entry)
+                          ? make_precert_entry(cert, issuer_public_key)
+                          : make_x509_entry(cert);
 
   const crypto::Digest fp = cert.fingerprint();
   // Logs deduplicate resubmissions of the same (pre)certificate: return the
@@ -103,39 +97,29 @@ SubmitResult CtLog::submit(const x509::Certificate& cert, BytesView issuer_publi
     if (const auto it = dedup_.find(fp_bytes); it != dedup_.end()) {
       metrics.dedup_hits.inc();
       const LogEntry& existing = entries_[it->second];
-      SignedCertificateTimestamp sct;
-      sct.log_id = log_id();
-      sct.timestamp_ms = existing.timestamp_ms;
-      sct.signature = signer_->sign(sct_signing_input(sct, existing.signed_entry));
-      return {SubmitStatus::ok, sct};
+      return {SubmitStatus::ok, existing.index,
+              sign_sct(*signer_, log_id_, existing.timestamp_ms, existing.signed_entry)};
     }
     dedup_[fp_bytes] = tree_.size();
   }
 
-
-  SignedCertificateTimestamp sct;
-  sct.log_id = log_id();
-  sct.timestamp_ms = static_cast<std::uint64_t>(now.unix_seconds()) * 1000;
-  sct.signature = signer_->sign(sct_signing_input(sct, entry));
+  const std::uint64_t timestamp_ms = static_cast<std::uint64_t>(now.unix_seconds()) * 1000;
+  SignedCertificateTimestamp sct = sign_sct(*signer_, log_id_, timestamp_ms, entry);
 
   LogEntry log_entry;
   log_entry.index = tree_.size();
-  log_entry.timestamp_ms = sct.timestamp_ms;
+  log_entry.timestamp_ms = timestamp_ms;
   log_entry.issuer_cn = cert.tbs.issuer.common_name;
   log_entry.fingerprint = fp;
-  if (config_.store_bodies) {
-    log_entry.signed_entry = entry;
-    log_entry.certificate = cert;
-  }
-
   {
     obs::ScopedTimer timer(metrics.merkle_integrate_us);
-    tree_.append_data(merkle_leaf_bytes(sct.timestamp_ms, entry));
+    tree_.append_data(merkle_leaf_bytes(timestamp_ms, entry));
   }
+  if (config_.store_bodies) log_entry.signed_entry = std::move(entry);
   metrics.accepted.inc();
   entries_.push_back(std::move(log_entry));
   for (const Subscriber& subscriber : subscribers_) subscriber(*this, entries_.back());
-  return {SubmitStatus::ok, sct};
+  return {SubmitStatus::ok, entries_.back().index, std::move(sct)};
 }
 
 std::vector<LogEntry> CtLog::get_entries(std::uint64_t start, std::uint64_t count) const {
@@ -147,12 +131,8 @@ std::vector<LogEntry> CtLog::get_entries(std::uint64_t start, std::uint64_t coun
 }
 
 SignedTreeHead CtLog::get_sth(SimTime now) const {
-  SignedTreeHead sth;
-  sth.tree_size = tree_.size();
-  sth.timestamp_ms = static_cast<std::uint64_t>(now.unix_seconds()) * 1000;
-  sth.root_hash = tree_.root();
-  sth.signature = signer_->sign(sth_signing_input(sth));
-  return sth;
+  return sign_sth(*signer_, tree_.size(), static_cast<std::uint64_t>(now.unix_seconds()) * 1000,
+                  tree_.root());
 }
 
 std::vector<Digest> CtLog::get_inclusion_proof(std::uint64_t index,

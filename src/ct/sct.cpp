@@ -37,6 +37,14 @@ SignedEntry make_precert_entry(const x509::Certificate& cert, BytesView issuer_p
   return entry;
 }
 
+std::optional<EntryTbs> entry_tbs(const SignedEntry& entry) {
+  if (entry.data.empty()) return std::nullopt;
+  if (entry.type == EntryType::precert_entry) {
+    return EntryTbs{x509::TbsCertificate::decode(entry.data), true};
+  }
+  return EntryTbs{x509::Certificate::decode(entry.data).tbs, false};
+}
+
 Bytes SignedCertificateTimestamp::serialize() const {
   Bytes out;
   wire::put_u8(out, version);
@@ -74,6 +82,15 @@ Bytes sct_signing_input(const SignedCertificateTimestamp& sct, const SignedEntry
   return out;
 }
 
+SignedCertificateTimestamp sign_sct(const crypto::Signer& signer, const LogId& log_id,
+                                    std::uint64_t timestamp_ms, const SignedEntry& entry) {
+  SignedCertificateTimestamp sct;
+  sct.log_id = log_id;
+  sct.timestamp_ms = timestamp_ms;
+  sct.signature = signer.sign(sct_signing_input(sct, entry));
+  return sct;
+}
+
 bool verify_sct(const SignedCertificateTimestamp& sct, const SignedEntry& entry,
                 BytesView log_public_key) {
   return crypto::verify_signature(log_public_key, sct_signing_input(sct, entry), sct.signature);
@@ -108,6 +125,16 @@ Bytes sth_signing_input(const SignedTreeHead& sth) {
   wire::put_u64(out, sth.tree_size);
   wire::put_bytes(out, BytesView{sth.root_hash.data(), sth.root_hash.size()});
   return out;
+}
+
+SignedTreeHead sign_sth(const crypto::Signer& signer, std::uint64_t tree_size,
+                        std::uint64_t timestamp_ms, const crypto::Digest& root_hash) {
+  SignedTreeHead sth;
+  sth.tree_size = tree_size;
+  sth.timestamp_ms = timestamp_ms;
+  sth.root_hash = root_hash;
+  sth.signature = signer.sign(sth_signing_input(sth));
+  return sth;
 }
 
 bool verify_sth(const SignedTreeHead& sth, BytesView log_public_key) {

@@ -51,17 +51,17 @@ crypto::Digest EquivocatingLog::fingerprint_at(std::uint64_t index, std::uint64_
 
 void EquivocatingLog::append(logsvc::LogService& svc, std::uint64_t index, Side side,
                              SimTime now) {
-  std::promise<logsvc::SubmitOutcome> promise;
+  std::promise<ct::SubmitResult> promise;
   auto future = promise.get_future();
-  const logsvc::SubmitStatus status = svc.submit(
+  const ct::SubmitStatus status = svc.submit(
       entry_at(index, fork_index_, side), fingerprint_at(index, fork_index_, side),
       "Equivocation CA", now,
-      [&promise](const logsvc::SubmitOutcome& outcome) { promise.set_value(outcome); });
-  if (status != logsvc::SubmitStatus::ok) {
+      [&promise](const ct::SubmitResult& outcome) { promise.set_value(outcome); });
+  if (status != ct::SubmitStatus::ok) {
     throw std::runtime_error("EquivocatingLog: submit refused");
   }
-  const logsvc::SubmitOutcome outcome = future.get();
-  if (outcome.status != logsvc::SubmitStatus::ok) {
+  const ct::SubmitResult outcome = future.get();
+  if (outcome.status != ct::SubmitStatus::ok) {
     throw std::runtime_error("EquivocatingLog: submission failed at seal");
   }
 }
@@ -86,12 +86,7 @@ void EquivocatingLog::grow_side(Side side, SimTime now) {
 ct::SignedTreeHead EquivocatingLog::sign_arbitrary_sth(std::uint64_t tree_size,
                                                        std::uint64_t timestamp_ms,
                                                        const crypto::Digest& root) const {
-  ct::SignedTreeHead sth;
-  sth.tree_size = tree_size;
-  sth.timestamp_ms = timestamp_ms;
-  sth.root_hash = root;
-  sth.signature = oracle_->sign(ct::sth_signing_input(sth));
-  return sth;
+  return ct::sign_sth(*oracle_, tree_size, timestamp_ms, root);
 }
 
 }  // namespace ctwatch::gossip

@@ -104,21 +104,21 @@ std::optional<ParsedChain> parse_chain_body(const std::string& body, std::size_t
   return out;
 }
 
-Response submit_status_response(logsvc::SubmitStatus status) {
+Response submit_status_response(ct::SubmitStatus status) {
   switch (status) {
-    case logsvc::SubmitStatus::rejected_invalid:
+    case ct::SubmitStatus::rejected_invalid:
       return error_response(400, "rejected_invalid", "chain did not verify");
-    case logsvc::SubmitStatus::overloaded:
+    case ct::SubmitStatus::overloaded:
       return error_response(503, "overloaded", "submission queue full");
-    case logsvc::SubmitStatus::shutdown:
+    case ct::SubmitStatus::shutdown:
       return error_response(503, "shutting_down", "log service is stopping");
-    case logsvc::SubmitStatus::dropped:
+    case ct::SubmitStatus::dropped:
       return error_response(503, "dropped", "submission lost at ingress (injected fault)");
-    case logsvc::SubmitStatus::internal_error:
+    case ct::SubmitStatus::internal_error:
       return error_response(500, "internal_error", "signer failure");
-    case logsvc::SubmitStatus::storage_error:
+    case ct::SubmitStatus::storage_error:
       return error_response(503, "storage_error", "durable commit failed; entry not integrated");
-    case logsvc::SubmitStatus::ok:
+    case ct::SubmitStatus::ok:
       break;
   }
   return error_response(500, "internal_error", "unexpected submit status");
@@ -135,20 +135,20 @@ void handle_add(logsvc::LogService& service, const CtApiOptions& options, bool p
   }
   // The completion runs on the sequencer thread once the batch seals;
   // `done` routes it back to the owning event loop (stale-safe).
-  logsvc::CompletionFn completion = [done](const logsvc::SubmitOutcome& outcome) {
-    if (outcome.status != logsvc::SubmitStatus::ok || !outcome.sct) {
+  logsvc::CompletionFn completion = [done](const ct::SubmitResult& outcome) {
+    if (outcome.status != ct::SubmitStatus::ok || !outcome.sct) {
       done(submit_status_response(outcome.status));
       return;
     }
     done(json_response(200, sct_json(*outcome.sct).dump()));
   };
   const SimTime now = options.clock();
-  const logsvc::SubmitStatus status =
+  const ct::SubmitStatus status =
       pre ? service.submit_pre_chain(parsed->leaf, parsed->issuer_public_key, now,
                                      std::move(completion))
           : service.submit_chain(parsed->leaf, parsed->issuer_public_key, now,
                                  std::move(completion));
-  if (status != logsvc::SubmitStatus::ok) {
+  if (status != ct::SubmitStatus::ok) {
     done(submit_status_response(status));
   }
 }
@@ -263,7 +263,7 @@ void register_ct_api(Router& router, ViewSelector select, CtApiOptions options) 
     const std::uint64_t span = *end - *start;
     const std::uint64_t want = span == UINT64_MAX ? UINT64_MAX : span + 1;
     json::Array entries;
-    for (const logsvc::EntryRecord& record : service.get_entries(*start, want)) {
+    for (const ct::LogEntry& record : service.get_entries(*start, want)) {
       json::Object entry;
       entry.emplace("leaf_input",
                     json::Value(b64(ct::merkle_leaf_bytes(record.timestamp_ms,

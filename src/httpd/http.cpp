@@ -1,5 +1,7 @@
 #include "ctwatch/httpd/http.hpp"
 
+#include "ctwatch/obs/metrics.hpp"
+
 #include <algorithm>
 #include <cctype>
 
@@ -354,11 +356,7 @@ Response error_response(int status, std::string_view code, std::string_view deta
   std::string body = "{\"error\":\"";
   body += code;
   body += "\",\"detail\":\"";
-  for (char c : detail) {  // details are ASCII diagnostics; escape the JSON specials
-    if (c == '"' || c == '\\') body += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) continue;
-    body += c;
-  }
+  body += obs::json_escape(detail);
   body += "\"}";
   return json_response(status, std::move(body), keep_alive);
 }

@@ -1,5 +1,7 @@
 #include "ctwatch/httpd/json.hpp"
 
+#include "ctwatch/obs/metrics.hpp"
+
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -173,7 +175,7 @@ void dump_into(const Value& v, std::string& out);
 
 void dump_string(std::string_view s, std::string& out) {
   out.push_back('"');
-  out += escape(s);
+  out += obs::json_escape(s);
   out.push_back('"');
 }
 
@@ -274,32 +276,6 @@ std::optional<Value> parse(std::string_view text) {
   parser.skip_ws();
   if (!parser.done()) return std::nullopt;  // trailing garbage
   return value;
-}
-
-std::string escape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-        break;
-    }
-  }
-  return out;
 }
 
 }  // namespace ctwatch::httpd::json

@@ -55,8 +55,8 @@ std::uint64_t to_millis(SimTime now) {
 }
 
 /// What get-entries (and adoption) serve for a durable record.
-EntryRecord to_record(storage::DurableEntry durable, bool keep_body) {
-  EntryRecord record;
+ct::LogEntry to_record(storage::DurableEntry durable, bool keep_body) {
+  ct::LogEntry record;
   record.index = durable.index;
   record.timestamp_ms = durable.timestamp_ms;
   record.fingerprint = durable.fingerprint;
@@ -74,11 +74,13 @@ constexpr std::uint64_t kAdoptWindow = 4096;
 LogService::LogService(Config config)
     : config_(std::move(config)),
       signer_(crypto::make_signer("ct-log/" + config_.name, config_.scheme)),
+      log_id_(signer_->key_id()),
       queue_(config_.queue_capacity),
       fanout_(config_.fanout_buffer) {
   if (config_.storage != nullptr) adopt_storage();
   if (snapshot_ == nullptr) {
-    publish_snapshot(sign_sth(accumulator_, 0));  // the signed empty tree
+    // The signed empty tree.
+    publish_snapshot(ct::sign_sth(*signer_, 0, 0, accumulator_.root()));
   }
   running_.store(true, std::memory_order_release);
   sequencer_ = std::thread([this] { sequencer_main(); });
@@ -170,14 +172,7 @@ void LogService::adopt_storage() {
                  {"discarded_unsealed", store.recovery().discarded_unsealed}});
 }
 
-ct::LogId LogService::log_id() const {
-  const crypto::Digest id = signer_->key_id();
-  ct::LogId out{};
-  std::copy(id.begin(), id.end(), out.begin());
-  return out;
-}
-
-SubmitStatus LogService::submit(ct::SignedEntry entry, const crypto::Digest& fingerprint,
+ct::SubmitStatus LogService::submit(ct::SignedEntry entry, const crypto::Digest& fingerprint,
                                 std::string issuer_cn, SimTime now, CompletionFn done) {
   SvcMetrics& metrics = svc_metrics();
   // Root of the submission's causal tree: the sequencer's per-entry span
@@ -186,7 +181,7 @@ SubmitStatus LogService::submit(ct::SignedEntry entry, const crypto::Digest& fin
   obs::Span submit_span("logsvc.submit");
   obs::ScopedTimer submit_timer(metrics.submit_us);
   metrics.submissions.inc();
-  if (!running_.load(std::memory_order_acquire)) return SubmitStatus::shutdown;
+  if (!running_.load(std::memory_order_acquire)) return ct::SubmitStatus::shutdown;
 
   if (config_.chaos != nullptr) {
     const chaos::FaultDecision decision =
@@ -196,7 +191,7 @@ SubmitStatus LogService::submit(ct::SignedEntry entry, const crypto::Digest& fin
       metrics.chaos_dropped.inc();
       obs::flight_note("logsvc.chaos_drop", to_millis(now));
       obs::log_debug("logsvc", "submission dropped by fault injection", {{"log", config_.name}});
-      return SubmitStatus::dropped;
+      return ct::SubmitStatus::dropped;
     }
   }
 
@@ -211,31 +206,31 @@ SubmitStatus LogService::submit(ct::SignedEntry entry, const crypto::Digest& fin
 
   switch (queue_.try_push(std::move(pending))) {
     case PushResult::ok:
-      return SubmitStatus::ok;
+      return ct::SubmitStatus::ok;
     case PushResult::full:
       overload_rejections_.fetch_add(1, std::memory_order_relaxed);
       metrics.overloaded.inc();
       obs::flight_note("logsvc.overloaded", queue_.depth());
       obs::log_debug("logsvc", "submission rejected for overload", {{"log", config_.name}});
-      return SubmitStatus::overloaded;
+      return ct::SubmitStatus::overloaded;
     case PushResult::closed:
       break;
   }
   shutdown_rejections_.fetch_add(1, std::memory_order_relaxed);
   metrics.shutdown_rejected.inc();
-  return SubmitStatus::shutdown;
+  return ct::SubmitStatus::shutdown;
 }
 
-SubmitStatus LogService::submit_validated(const x509::Certificate& cert,
-                                          BytesView issuer_public_key, SimTime now,
-                                          ct::EntryType type, CompletionFn done) {
+ct::SubmitStatus LogService::submit_validated(const x509::Certificate& cert,
+                                              BytesView issuer_public_key, SimTime now,
+                                              ct::EntryType type, CompletionFn done) {
   // Validation runs in the submitting thread, so it parallelizes across
   // producers instead of serializing in the sequencer.
   if (config_.verify_submissions && !cert.verify(issuer_public_key)) {
     svc_metrics().rejected_invalid.inc();
     obs::log_debug("logsvc", "submission failed chain verification",
                    {{"log", config_.name}, {"issuer", cert.tbs.issuer.common_name}});
-    return SubmitStatus::rejected_invalid;
+    return ct::SubmitStatus::rejected_invalid;
   }
   ct::SignedEntry entry = (type == ct::EntryType::precert_entry)
                               ? ct::make_precert_entry(cert, issuer_public_key)
@@ -244,37 +239,38 @@ SubmitStatus LogService::submit_validated(const x509::Certificate& cert,
                 std::move(done));
 }
 
-SubmitStatus LogService::submit_chain(const x509::Certificate& cert, BytesView issuer_public_key,
-                                      SimTime now, CompletionFn done) {
+ct::SubmitStatus LogService::submit_chain(const x509::Certificate& cert,
+                                          BytesView issuer_public_key, SimTime now,
+                                          CompletionFn done) {
   if (cert.is_precertificate()) {
     svc_metrics().rejected_invalid.inc();
-    return SubmitStatus::rejected_invalid;
+    return ct::SubmitStatus::rejected_invalid;
   }
   return submit_validated(cert, issuer_public_key, now, ct::EntryType::x509_entry,
                           std::move(done));
 }
 
-SubmitStatus LogService::submit_pre_chain(const x509::Certificate& precert,
-                                          BytesView issuer_public_key, SimTime now,
-                                          CompletionFn done) {
+ct::SubmitStatus LogService::submit_pre_chain(const x509::Certificate& precert,
+                                              BytesView issuer_public_key, SimTime now,
+                                              CompletionFn done) {
   if (!precert.is_precertificate()) {
     svc_metrics().rejected_invalid.inc();
-    return SubmitStatus::rejected_invalid;
+    return ct::SubmitStatus::rejected_invalid;
   }
   return submit_validated(precert, issuer_public_key, now, ct::EntryType::precert_entry,
                           std::move(done));
 }
 
-SubmitOutcome LogService::submit_and_wait(const x509::Certificate& cert,
-                                          BytesView issuer_public_key, SimTime now) {
+ct::SubmitResult LogService::submit_and_wait(const x509::Certificate& cert,
+                                             BytesView issuer_public_key, SimTime now) {
   struct Waiter {
     std::mutex mu;
     std::condition_variable cv;
     bool ready = false;
-    SubmitOutcome outcome;
+    ct::SubmitResult outcome;
   };
   auto waiter = std::make_shared<Waiter>();
-  auto done = [waiter](const SubmitOutcome& outcome) {
+  auto done = [waiter](const ct::SubmitResult& outcome) {
     {
       std::lock_guard<std::mutex> lock(waiter->mu);
       waiter->outcome = outcome;
@@ -282,10 +278,10 @@ SubmitOutcome LogService::submit_and_wait(const x509::Certificate& cert,
     }
     waiter->cv.notify_one();
   };
-  const SubmitStatus status =
+  const ct::SubmitStatus status =
       cert.is_precertificate() ? submit_pre_chain(cert, issuer_public_key, now, done)
                                : submit_chain(cert, issuer_public_key, now, done);
-  if (status != SubmitStatus::ok) return SubmitOutcome{status, 0, std::nullopt};
+  if (status != ct::SubmitStatus::ok) return ct::SubmitResult{status, 0, std::nullopt};
   std::unique_lock<std::mutex> lock(waiter->mu);
   waiter->cv.wait(lock, [&] { return waiter->ready; });
   return waiter->outcome;
@@ -390,9 +386,9 @@ std::optional<std::uint64_t> LogService::leaf_index_of(const crypto::Digest& lea
   return it->second;
 }
 
-std::vector<EntryRecord> LogService::get_entries(std::uint64_t start, std::uint64_t count) const {
+std::vector<ct::LogEntry> LogService::get_entries(std::uint64_t start, std::uint64_t count) const {
   const std::uint64_t published = resident_base_ + entries_.size();
-  std::vector<EntryRecord> out;
+  std::vector<ct::LogEntry> out;
   if (start >= published || count == 0) return out;
   // Clamp before any arithmetic: `start + count` on attacker-supplied
   // values can wrap uint64 and turn the window into "everything".
@@ -416,25 +412,6 @@ std::vector<EntryRecord> LogService::get_entries(std::uint64_t start, std::uint6
     out.push_back(entries_.at(i - resident_base_));
   }
   return out;
-}
-
-ct::SignedCertificateTimestamp LogService::sign_sct(std::uint64_t timestamp_ms,
-                                                    const ct::SignedEntry& entry) const {
-  ct::SignedCertificateTimestamp sct;
-  sct.log_id = log_id();
-  sct.timestamp_ms = timestamp_ms;
-  sct.signature = signer_->sign(ct::sct_signing_input(sct, entry));
-  return sct;
-}
-
-ct::SignedTreeHead LogService::sign_sth(const ct::RootAccumulator& accumulator,
-                                        std::uint64_t timestamp_ms) const {
-  ct::SignedTreeHead sth;
-  sth.tree_size = accumulator.size();
-  sth.timestamp_ms = timestamp_ms;
-  sth.root_hash = accumulator.root();
-  sth.signature = signer_->sign(ct::sth_signing_input(sth));
-  return sth;
 }
 
 void LogService::publish_snapshot(ct::SignedTreeHead sth) {
@@ -506,7 +483,7 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
   // serves a root the disk cannot prove.
   struct Completion {
     CompletionFn done;
-    SubmitOutcome outcome;
+    ct::SubmitResult outcome;
     std::chrono::steady_clock::time_point enqueued_at;
   };
   std::vector<Completion> completions;
@@ -514,7 +491,7 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
   std::vector<StreamEvent> events;
   events.reserve(batch.size());
   std::vector<crypto::Digest> new_leaves;
-  std::vector<EntryRecord> new_records;
+  std::vector<ct::LogEntry> new_records;
   std::vector<storage::DurableEntry> durables;
   // Completions whose outcome presumes this batch integrates (fresh
   // appends AND intra-batch dedup hits): flipped to storage_error if the
@@ -544,7 +521,7 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
       metrics.signer_failures.inc();
       obs::flight_note("logsvc.signer_failure", pending.timestamp_ms);
       completions.push_back({std::move(pending.done),
-                             SubmitOutcome{SubmitStatus::internal_error, 0, std::nullopt},
+                             ct::SubmitResult{ct::SubmitStatus::internal_error, 0, std::nullopt},
                              pending.enqueued_at});
       continue;
     }
@@ -566,8 +543,9 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
         metrics.dedup_hits.inc();
         if (prior_in_batch) contingent.push_back(completions.size());
         completions.push_back({std::move(pending.done),
-                               SubmitOutcome{SubmitStatus::ok, prior->index,
-                                             sign_sct(prior->timestamp_ms, pending.entry)},
+                               ct::SubmitResult{ct::SubmitStatus::ok, prior->index,
+                                             ct::sign_sct(*signer_, log_id_, prior->timestamp_ms,
+                                                          pending.entry)},
                                pending.enqueued_at});
         continue;
       }
@@ -579,7 +557,7 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
     ct::SignedCertificateTimestamp sct;
     {
       obs::ScopedTimer sign_timer(metrics.sign_us);
-      sct = sign_sct(pending.timestamp_ms, pending.entry);
+      sct = ct::sign_sct(*signer_, log_id_, pending.timestamp_ms, pending.entry);
     }
 
     if (config_.dedup) {
@@ -598,7 +576,7 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
       durables.push_back(std::move(durable));
     }
 
-    EntryRecord record;
+    ct::LogEntry record;
     record.index = index;
     record.timestamp_ms = pending.timestamp_ms;
     record.fingerprint = pending.fingerprint;
@@ -619,7 +597,7 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
     events.push_back(std::move(event));
     contingent.push_back(completions.size());
     completions.push_back({std::move(pending.done),
-                           SubmitOutcome{SubmitStatus::ok, index, std::move(sct)},
+                           ct::SubmitResult{ct::SubmitStatus::ok, index, std::move(sct)},
                            pending.enqueued_at});
   }
   const std::uint64_t appended = new_leaves.size();
@@ -631,7 +609,7 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
   bool committed = appended > 0;
   ct::SignedTreeHead sth;
   if (appended > 0) {
-    sth = sign_sth(probe, last_timestamp_ms_);
+    sth = ct::sign_sth(*signer_, probe.size(), last_timestamp_ms_, probe.root());
     if (leaves_.write_pos() + appended > leaves_.capacity() ||
         entries_.write_pos() + appended > entries_.capacity()) {
       committed = false;
@@ -683,7 +661,8 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
     metrics.storage_failures.inc();
     obs::flight_note("logsvc.storage_failure", accumulator_.size());
     for (const std::size_t index : contingent) {
-      completions[index].outcome = SubmitOutcome{SubmitStatus::storage_error, 0, std::nullopt};
+      completions[index].outcome =
+          ct::SubmitResult{ct::SubmitStatus::storage_error, 0, std::nullopt};
     }
     events.clear();
   }
@@ -692,7 +671,7 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
 
   const auto sealed_at = std::chrono::steady_clock::now();
   for (Completion& completion : completions) {
-    if (completion.outcome.status == SubmitStatus::ok) metrics.accepted.inc();
+    if (completion.outcome.status == ct::SubmitStatus::ok) metrics.accepted.inc();
     metrics.submit_to_sct_us.observe(
         std::chrono::duration<double, std::micro>(sealed_at - completion.enqueued_at).count());
     if (completion.done) completion.done(completion.outcome);

@@ -1,5 +1,7 @@
 #include "ctwatch/obs/trace.hpp"
 
+#include "ctwatch/obs/metrics.hpp"
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -16,22 +18,6 @@ namespace {
 // to, and a small ordinal used as the chrome-trace tid.
 thread_local std::uint32_t tls_current_span = 0;
 thread_local std::uint64_t tls_current_trace = 0;
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
 
 }  // namespace
 

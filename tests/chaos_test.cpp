@@ -429,7 +429,7 @@ TEST(LogServiceChaosTest, IngressFaultsDropSubmissions) {
   logsvc::LogService service(chaos_service_config("drop-all", injector));
   for (std::uint64_t n = 0; n < 10; ++n) {
     EXPECT_EQ(service.submit(chaos_entry(n), chaos_fingerprint(n), "ca", SimTime{1000}),
-              logsvc::SubmitStatus::dropped);
+              ct::SubmitStatus::dropped);
   }
   service.stop();
   EXPECT_EQ(service.chaos_dropped(), 10u);
@@ -444,22 +444,22 @@ TEST(LogServiceChaosTest, SignerFailuresSurfaceThroughCompletions) {
   logsvc::LogService service(chaos_service_config("bad-signer", injector));
 
   std::mutex mu;
-  std::vector<logsvc::SubmitStatus> outcomes;
+  std::vector<ct::SubmitStatus> outcomes;
   for (std::uint64_t n = 0; n < 8; ++n) {
-    const logsvc::SubmitStatus status =
+    const ct::SubmitStatus status =
         service.submit(chaos_entry(n), chaos_fingerprint(n), "ca", SimTime{1000},
-                       [&](const logsvc::SubmitOutcome& outcome) {
+                       [&](const ct::SubmitResult& outcome) {
                          std::lock_guard<std::mutex> lock(mu);
                          outcomes.push_back(outcome.status);
                        });
-    EXPECT_EQ(status, logsvc::SubmitStatus::ok);
+    EXPECT_EQ(status, ct::SubmitStatus::ok);
   }
   service.stop();
   EXPECT_EQ(service.signer_failures(), 8u);
   EXPECT_EQ(service.tree_size(), 0u);  // nothing integrated
   ASSERT_EQ(outcomes.size(), 8u);     // ...but every completion fired
-  for (const logsvc::SubmitStatus status : outcomes) {
-    EXPECT_EQ(status, logsvc::SubmitStatus::internal_error);
+  for (const ct::SubmitStatus status : outcomes) {
+    EXPECT_EQ(status, ct::SubmitStatus::internal_error);
   }
 }
 
@@ -476,12 +476,12 @@ TEST(LogServiceChaosTest, SequencerStallDelaysButNeverLoses) {
   const std::uint64_t n = 20;
   for (std::uint64_t i = 0; i < n; ++i) {
     ASSERT_EQ(service.submit(chaos_entry(i), chaos_fingerprint(i), "ca", SimTime{1000},
-                             [&](const logsvc::SubmitOutcome& outcome) {
-                               EXPECT_EQ(outcome.status, logsvc::SubmitStatus::ok);
+                             [&](const ct::SubmitResult& outcome) {
+                               EXPECT_EQ(outcome.status, ct::SubmitStatus::ok);
                                std::lock_guard<std::mutex> lock(mu);
                                if (++completed == n) cv.notify_all();
                              }),
-              logsvc::SubmitStatus::ok);
+              ct::SubmitStatus::ok);
   }
   {
     std::unique_lock<std::mutex> lock(mu);
@@ -514,19 +514,19 @@ TEST(LogServiceChaosTest, ConcurrentSubmittersUnderChaosConserveCompletions) {
     threads.emplace_back([&, t] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
         const std::uint64_t n = static_cast<std::uint64_t>(t) * kPerThread + i;
-        const logsvc::SubmitStatus status =
+        const ct::SubmitStatus status =
             service.submit(chaos_entry(n), chaos_fingerprint(n), "ca", SimTime{1000},
-                           [&](const logsvc::SubmitOutcome& outcome) {
-                             if (outcome.status == logsvc::SubmitStatus::ok) {
+                           [&](const ct::SubmitResult& outcome) {
+                             if (outcome.status == ct::SubmitStatus::ok) {
                                completions_ok.fetch_add(1, std::memory_order_relaxed);
                              } else {
                                completions_failed.fetch_add(1, std::memory_order_relaxed);
                              }
                            });
-        if (status == logsvc::SubmitStatus::ok) {
+        if (status == ct::SubmitStatus::ok) {
           accepted.fetch_add(1, std::memory_order_relaxed);
         } else {
-          ASSERT_EQ(status, logsvc::SubmitStatus::dropped);
+          ASSERT_EQ(status, ct::SubmitStatus::dropped);
           dropped.fetch_add(1, std::memory_order_relaxed);
         }
       }

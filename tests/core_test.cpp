@@ -176,9 +176,52 @@ TEST(ClassifierTest, ValidPairClassifiesAsUnknownDivergence) {
   request.not_before = SimTime::parse("2018-04-01");
   request.not_after = SimTime::parse("2019-04-01");
   const auto issued = ca.issue(request, SimTime::parse("2018-04-01"));
-  EXPECT_EQ(classify_divergence(issued.final_certificate, issued.precertificate),
+  EXPECT_EQ(classify_divergence(issued.final_certificate, issued.precertificate.tbs),
             RootCause::unknown);
   EXPECT_EQ(classify_divergence(issued.final_certificate, std::nullopt), RootCause::stale_sct);
+}
+
+TEST(ClassifierTest, LoggedTbsAttributesEachBugClass) {
+  // §3.4's four incident classes, each classified against the TBS the log
+  // actually holds (what InvalidSctStudy reads back via entry_tbs).
+  ct::LogConfig config;
+  config.name = "Classifier Log";
+  config.scheme = crypto::SignatureScheme::hmac_sha256_simulated;
+  ct::CtLog log(config);
+  sim::CertificateAuthority ca("Classifier CA", "Classifier Issuing CA",
+                               crypto::SignatureScheme::hmac_sha256_simulated);
+  const SimTime when = SimTime::parse("2018-04-01");
+  int counter = 0;
+  auto issue = [&](sim::IssuanceBug bug) {
+    sim::IssuanceRequest request;
+    request.subject_cn = "c" + std::to_string(++counter) + ".example.org";
+    request.sans = {x509::SanEntry::dns(request.subject_cn),
+                    x509::SanEntry::address(net::IPv4(192, 0, 2, 7)),
+                    x509::SanEntry::dns("alt-" + request.subject_cn)};
+    request.not_before = when;
+    request.not_after = when + 365 * 86400;
+    request.logs = {&log};
+    request.bug = bug;
+    return ca.issue(request, when);
+  };
+  auto logged_tbs = [&]() -> std::optional<x509::TbsCertificate> {
+    return ct::entry_tbs(log.entries().back().signed_entry)->tbs;
+  };
+
+  auto issued = issue(sim::IssuanceBug::none);
+  EXPECT_EQ(classify_divergence(issued.final_certificate, logged_tbs()), RootCause::unknown);
+  issued = issue(sim::IssuanceBug::san_reorder);
+  EXPECT_EQ(classify_divergence(issued.final_certificate, logged_tbs()),
+            RootCause::san_reorder);
+  issued = issue(sim::IssuanceBug::extension_reorder);
+  EXPECT_EQ(classify_divergence(issued.final_certificate, logged_tbs()),
+            RootCause::extension_reorder);
+  issued = issue(sim::IssuanceBug::name_swap);
+  EXPECT_EQ(classify_divergence(issued.final_certificate, logged_tbs()),
+            RootCause::name_mismatch);
+  issued = issue(sim::IssuanceBug::none);
+  const x509::Certificate reissued = ca.reissue_with_stale_scts(issued, when + 7 * 86400);
+  EXPECT_EQ(classify_divergence(reissued, logged_tbs()), RootCause::stale_sct);
 }
 
 // ---------- leakage renders (§4) ----------

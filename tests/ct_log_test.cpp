@@ -2,7 +2,6 @@
 
 #include "ctwatch/ct/auditor.hpp"
 #include "ctwatch/ct/loglist.hpp"
-#include "ctwatch/ct/stream.hpp"
 #include "ctwatch/sim/ca.hpp"
 
 namespace ctwatch::ct {
@@ -74,10 +73,15 @@ TEST_P(CtLogTest, RejectsBadChainSignature) {
 
 TEST_P(CtLogTest, DeduplicatesResubmission) {
   const auto issued = ca_.issue(request("www.example.org"), now_);
+  const auto other = ca_.issue(request("other.example.org"), now_ + 60);
+  const auto final_added = log_->add_chain(other.final_certificate, ca_.public_key(), now_);
+  EXPECT_EQ(final_added.index, 2u);  // a fresh entry reports its leaf index
   const std::uint64_t size_before = log_->tree_size();
   const auto again = log_->add_pre_chain(issued.precertificate, ca_.public_key(), now_ + 3600);
   EXPECT_EQ(again.status, SubmitStatus::ok);
   EXPECT_EQ(log_->tree_size(), size_before);  // no new entry
+  EXPECT_EQ(again.index, 0u);                 // the original entry's index
+  EXPECT_EQ(log_->add_pre_chain(other.precertificate, ca_.public_key(), now_).index, 1u);
   // The replayed SCT carries the original timestamp and still verifies.
   ASSERT_TRUE(again.sct);
   EXPECT_EQ(again.sct->timestamp_ms, issued.scts[0].timestamp_ms);
@@ -116,6 +120,52 @@ TEST_P(CtLogTest, GetEntriesRange) {
   EXPECT_EQ(middle[2].index, 3u);
   EXPECT_EQ(log_->get_entries(4, 10).size(), 1u);  // clamped at tree size
   EXPECT_TRUE(log_->get_entries(9, 3).empty());
+
+  // A poller's cursor window, get_entries(cursor, tree_size - cursor):
+  // only the entries appended since its last visit, then nothing new.
+  std::uint64_t cursor = log_->tree_size();
+  EXPECT_TRUE(log_->get_entries(cursor, log_->tree_size() - cursor).empty());
+  ca_.issue(request("c.example.net"), now_ + 10);
+  const auto fresh = log_->get_entries(cursor, log_->tree_size() - cursor);
+  ASSERT_EQ(fresh.size(), 1u);
+  EXPECT_EQ(fresh[0].index, 5u);
+  EXPECT_EQ(entry_tbs(fresh[0].signed_entry)->tbs.subject.common_name, "c.example.net");
+  cursor = log_->tree_size();
+  EXPECT_TRUE(log_->get_entries(cursor, log_->tree_size() - cursor).empty());
+}
+
+// ---------- entry_tbs: what a log reader decodes from an entry ----------
+
+TEST_P(CtLogTest, EntryTbsYieldsWhatTheCaIssued) {
+  const auto issued = ca_.issue(request("www.example.org"), now_);
+  ASSERT_EQ(log_->add_chain(issued.final_certificate, ca_.public_key(), now_).status,
+            SubmitStatus::ok);
+  sim::IssuanceRequest redacted = request("db.internal.example.org");
+  redacted.redact_subdomains = true;
+  const auto hidden = ca_.issue(redacted, now_);
+  ASSERT_EQ(log_->tree_size(), 3u);
+
+  // Precert entry: the defanged TBS the log signed, no poison left.
+  const auto pre = entry_tbs(log_->entries()[0].signed_entry);
+  ASSERT_TRUE(pre);
+  EXPECT_TRUE(pre->precertificate);
+  EXPECT_EQ(pre->tbs.subject.common_name, "www.example.org");
+  EXPECT_EQ(pre->tbs.dns_names(), issued.precertificate.tbs.dns_names());
+  EXPECT_EQ(pre->tbs.encode(), x509::precert_tbs_bytes(issued.precertificate.tbs));
+
+  // x509 entry: the final certificate's TBS.
+  const auto fin = entry_tbs(log_->entries()[1].signed_entry);
+  ASSERT_TRUE(fin);
+  EXPECT_FALSE(fin->precertificate);
+  EXPECT_EQ(fin->tbs, issued.final_certificate.tbs);
+
+  // Redacted precert: only the "?" labels the CA submitted.
+  const auto red = entry_tbs(log_->entries()[2].signed_entry);
+  ASSERT_TRUE(red);
+  EXPECT_TRUE(red->precertificate);
+  EXPECT_EQ(red->tbs.subject.common_name, hidden.precertificate.tbs.subject.common_name);
+  EXPECT_EQ(red->tbs.dns_names(), hidden.precertificate.tbs.dns_names());
+  EXPECT_EQ(red->tbs.dns_names(), std::vector<std::string>{"?.example.org"});
 }
 
 INSTANTIATE_TEST_SUITE_P(BothSchemes, CtLogTest,
@@ -314,63 +364,40 @@ TEST(LogListTest, FindByIdAndName) {
   EXPECT_EQ(list.find(bogus), nullptr);
 }
 
-// ---------- streaming & polling ----------
+// ---------- streaming ----------
 
-TEST(StreamTest, CertStreamDeliversEntries) {
+TEST(StreamTest, SubscribeDeliversEntriesFromEachLog) {
   LogConfig config;
-  config.name = "Streamed Log";
   config.scheme = SignatureScheme::hmac_sha256_simulated;
   config.verify_submissions = false;
-  CtLog log(config);
-  CertStream stream;
-  stream.attach(log);
+  config.name = "Streamed Log A";
+  CtLog log_a(config);
+  config.name = "Streamed Log B";
+  CtLog log_b(config);
+  // One consumer following two logs, as a CertStream-style monitor does.
   std::vector<std::string> seen;
-  stream.on_entry([&](const CtLog& source, const LogEntry& entry) {
-    seen.push_back(source.name() + "/" + entry.certificate.tbs.subject.common_name);
-  });
+  const CtLog::Subscriber consumer = [&](const CtLog& source, const LogEntry& entry) {
+    seen.push_back(source.name() + "/" + entry_tbs(entry.signed_entry)->tbs.subject.common_name);
+  };
+  log_a.subscribe(consumer);
+  log_b.subscribe(consumer);
   sim::CertificateAuthority ca("Stream CA", "Stream Issuing CA",
                                SignatureScheme::hmac_sha256_simulated);
   const SimTime now = SimTime::parse("2018-04-12 14:16:14");
-  sim::IssuanceRequest request;
-  request.subject_cn = "hp1.example.net";
-  request.sans = {x509::SanEntry::dns(request.subject_cn)};
-  request.not_before = now;
-  request.not_after = now + 90 * 86400;
-  request.logs = {&log};
-  ca.issue(request, now);
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0], "Streamed Log/hp1.example.net");
-  EXPECT_EQ(stream.delivered(), 1u);
-}
-
-TEST(StreamTest, BatchPollerReturnsOnlyNewEntries) {
-  LogConfig config;
-  config.name = "Polled Log";
-  config.scheme = SignatureScheme::hmac_sha256_simulated;
-  config.verify_submissions = false;
-  CtLog log(config);
-  sim::CertificateAuthority ca("Poll CA", "Poll Issuing CA",
-                               SignatureScheme::hmac_sha256_simulated);
-  const SimTime now = SimTime::parse("2018-04-12");
-  auto issue = [&](const std::string& cn) {
+  auto issue = [&](const std::string& cn, std::vector<CtLog*> logs) {
     sim::IssuanceRequest request;
     request.subject_cn = cn;
-    request.sans = {x509::SanEntry::dns(cn)};
+    request.sans = {x509::SanEntry::dns(request.subject_cn)};
     request.not_before = now;
     request.not_after = now + 90 * 86400;
-    request.logs = {&log};
+    request.logs = std::move(logs);
     ca.issue(request, now);
   };
-  BatchPoller poller(log);
-  EXPECT_TRUE(poller.poll().empty());
-  issue("a.example.net");
-  issue("b.example.net");
-  EXPECT_EQ(poller.poll().size(), 2u);
-  EXPECT_TRUE(poller.poll().empty());
-  issue("c.example.net");
-  const auto batch = poller.poll();
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].certificate.tbs.subject.common_name, "c.example.net");
+  issue("hp1.example.net", {&log_a, &log_b});
+  issue("hp2.example.net", {&log_b});
+  EXPECT_EQ(seen, (std::vector<std::string>{"Streamed Log A/hp1.example.net",
+                                            "Streamed Log B/hp1.example.net",
+                                            "Streamed Log B/hp2.example.net"}));
 }
 
 // ---------- SCT list serialization ----------
@@ -434,7 +461,8 @@ TEST(SlimModeTest, KeepsFingerprintsAndTreeButNotBodies) {
   ASSERT_EQ(log.entries().size(), 1u);
   const LogEntry& entry = log.entries()[0];
   EXPECT_EQ(entry.issuer_cn, "Slim Issuing CA");
-  EXPECT_TRUE(entry.certificate.tbs.public_key.empty());  // body dropped
+  EXPECT_TRUE(entry.signed_entry.data.empty());  // body dropped
+  EXPECT_FALSE(entry_tbs(entry.signed_entry));
   EXPECT_EQ(hex_encode(crypto::digest_bytes(entry.fingerprint)),
             hex_encode(crypto::digest_bytes(issued.precertificate.fingerprint())));
   // The Merkle tree is fully populated regardless.

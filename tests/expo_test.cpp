@@ -126,15 +126,15 @@ ct::SignedEntry entry_of(std::uint64_t n) {
   return entry;
 }
 
-logsvc::SubmitOutcome submit_wait(logsvc::LogService& service, std::uint64_t n) {
+ct::SubmitResult submit_wait(logsvc::LogService& service, std::uint64_t n) {
   static const SimTime kNow = SimTime::parse("2018-04-01");
-  std::promise<logsvc::SubmitOutcome> promise;
+  std::promise<ct::SubmitResult> promise;
   auto future = promise.get_future();
-  const logsvc::SubmitStatus status = service.submit(
+  const ct::SubmitStatus status = service.submit(
       entry_of(n), crypto::Sha256::hash(to_bytes("expo-fp-" + std::to_string(n))), "Test CA",
-      kNow, [&promise](const logsvc::SubmitOutcome& outcome) { promise.set_value(outcome); });
-  if (status != logsvc::SubmitStatus::ok) {
-    return logsvc::SubmitOutcome{status, 0, std::nullopt};
+      kNow, [&promise](const ct::SubmitResult& outcome) { promise.set_value(outcome); });
+  if (status != ct::SubmitStatus::ok) {
+    return ct::SubmitResult{status, 0, std::nullopt};
   }
   return future.get();
 }
@@ -166,7 +166,7 @@ TEST(ExpoServerTest, ServesMetricsDuringLiveTraffic) {
   ASSERT_TRUE(server.start());
 
   for (std::uint64_t n = 0; n < 5; ++n) {
-    ASSERT_EQ(submit_wait(service, n).status, logsvc::SubmitStatus::ok);
+    ASSERT_EQ(submit_wait(service, n).status, ct::SubmitStatus::ok);
   }
 
   const std::string response = http_get(server.port(), "/metrics");

@@ -351,11 +351,11 @@ TEST(GossipTest, HonestLogUnderHeavyChaosNeverYieldsAVerdict) {
     // + fresh head pairs — all of which the honest log must reconcile.
     std::promise<void> done;
     auto wait = done.get_future();
-    const logsvc::SubmitStatus status = honest.submit(
+    const ct::SubmitStatus status = honest.submit(
         ct::SignedEntry{ct::EntryType::x509_entry, to_bytes("h-" + std::to_string(round)), {}},
         crypto::Sha256::hash(to_bytes("hfp-" + std::to_string(round))), "CA", at_round(round),
-        [&done](const logsvc::SubmitOutcome&) { done.set_value(); });
-    ASSERT_EQ(status, logsvc::SubmitStatus::ok);
+        [&done](const ct::SubmitResult&) { done.set_value(); });
+    ASSERT_EQ(status, ct::SubmitStatus::ok);
     wait.get();
     net.step(at_round(round));
   }
@@ -470,16 +470,16 @@ TEST_P(GossipParityTest, SingleFaceIsByteIndistinguishableFromHonestLog) {
     const SimTime now{kNow.unix_seconds() + static_cast<std::int64_t>(i) * 7};
     equivocating.grow(now);
     // The honest twin integrates the left face's exact history.
-    std::promise<logsvc::SubmitOutcome> promise;
+    std::promise<ct::SubmitResult> promise;
     auto future = promise.get_future();
     ASSERT_EQ(honest.submit(EquivocatingLog::entry_at(i, fork, Side::left),
                             EquivocatingLog::fingerprint_at(i, fork, Side::left),
                             "Equivocation CA", now,
-                            [&promise](const logsvc::SubmitOutcome& outcome) {
+                            [&promise](const ct::SubmitResult& outcome) {
                               promise.set_value(outcome);
                             }),
-              logsvc::SubmitStatus::ok);
-    ASSERT_EQ(future.get().status, logsvc::SubmitStatus::ok);
+              ct::SubmitStatus::ok);
+    ASSERT_EQ(future.get().status, ct::SubmitStatus::ok);
 
     logsvc::LogService& face = equivocating.service(Side::left);
     const std::uint64_t size = i + 1;

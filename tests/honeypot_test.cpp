@@ -44,7 +44,7 @@ TEST_F(HoneypotTest, SubdomainCreationLeaksOnlyViaCt) {
   // The precertificate reached the configured logs.
   bool found = false;
   for (const auto& entry : ecosystem_.log("Google Icarus").entries()) {
-    for (const std::string& name : entry.certificate.tbs.dns_names()) {
+    for (const std::string& name : ct::entry_tbs(entry.signed_entry)->tbs.dns_names()) {
       if (name == domain.fqdn) found = true;
     }
   }

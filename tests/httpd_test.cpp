@@ -279,6 +279,15 @@ TEST(HttpdJsonTest, EscapesControlCharactersInDump) {
   EXPECT_EQ(json::parse(dumped)->get_string("k"), "a\nb\x01" "c\"d");
 }
 
+TEST(HttpdJsonTest, ErrorResponseDetailKeepsControlCharactersEscaped) {
+  const Response response = error_response(400, "bad_request", "field\t\"chain\" \\ bad");
+  EXPECT_NE(response.body.find("\\t"), std::string::npos) << response.body;
+  const auto parsed = json::parse(response.body);
+  ASSERT_TRUE(parsed.has_value()) << response.body;
+  EXPECT_EQ(parsed->get_string("error"), "bad_request");
+  EXPECT_EQ(parsed->get_string("detail"), "field\t\"chain\" \\ bad");
+}
+
 // ===========================================================================
 // 3. Live server over real TCP
 // ===========================================================================

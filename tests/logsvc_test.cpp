@@ -44,13 +44,13 @@ Config fast_config(const std::string& name) {
 }
 
 /// Raw submit + block for the outcome (the async path, synchronized).
-SubmitOutcome submit_wait(LogService& service, std::uint64_t n, SimTime now) {
-  std::promise<SubmitOutcome> promise;
+ct::SubmitResult submit_wait(LogService& service, std::uint64_t n, SimTime now) {
+  std::promise<ct::SubmitResult> promise;
   auto future = promise.get_future();
-  const SubmitStatus status =
+  const ct::SubmitStatus status =
       service.submit(entry_of(n), fingerprint_of(n), "Test CA", now,
-                     [&promise](const SubmitOutcome& outcome) { promise.set_value(outcome); });
-  if (status != SubmitStatus::ok) return SubmitOutcome{status, 0, std::nullopt};
+                     [&promise](const ct::SubmitResult& outcome) { promise.set_value(outcome); });
+  if (status != ct::SubmitStatus::ok) return ct::SubmitResult{status, 0, std::nullopt};
   return future.get();
 }
 
@@ -58,8 +58,8 @@ const SimTime kNow = SimTime::parse("2018-04-01");
 
 TEST(LogServiceTest, SubmissionCompletesWithVerifiableSctAndProof) {
   LogService service(fast_config("Svc A"));
-  const SubmitOutcome outcome = submit_wait(service, 1, kNow);
-  ASSERT_EQ(outcome.status, SubmitStatus::ok);
+  const ct::SubmitResult outcome = submit_wait(service, 1, kNow);
+  ASSERT_EQ(outcome.status, ct::SubmitStatus::ok);
   ASSERT_TRUE(outcome.sct.has_value());
   EXPECT_EQ(outcome.index, 0u);
   EXPECT_EQ(outcome.sct->timestamp_ms, static_cast<std::uint64_t>(kNow.unix_seconds()) * 1000);
@@ -81,17 +81,17 @@ TEST(LogServiceTest, MergeDelayBatchesConcurrentSubmissionsIntoOneSth) {
   LogService service(config);
   service.pause_sequencer_for_test();  // hold the window open deterministically
 
-  std::vector<std::future<SubmitOutcome>> outcomes;
-  std::vector<std::promise<SubmitOutcome>> promises(3);
+  std::vector<std::future<ct::SubmitResult>> outcomes;
+  std::vector<std::promise<ct::SubmitResult>> promises(3);
   for (std::size_t i = 0; i < promises.size(); ++i) {
     outcomes.push_back(promises[i].get_future());
     auto* promise = &promises[i];
     ASSERT_EQ(service.submit(entry_of(i), fingerprint_of(i), "Test CA", kNow,
-                             [promise](const SubmitOutcome& o) { promise->set_value(o); }),
-              SubmitStatus::ok);
+                             [promise](const ct::SubmitResult& o) { promise->set_value(o); }),
+              ct::SubmitStatus::ok);
   }
   service.resume_sequencer_for_test();
-  for (auto& future : outcomes) EXPECT_EQ(future.get().status, SubmitStatus::ok);
+  for (auto& future : outcomes) EXPECT_EQ(future.get().status, ct::SubmitStatus::ok);
 
   // One seal integrated all three: a single batch, a single new head.
   EXPECT_EQ(service.sealed_batches(), 1u);
@@ -101,13 +101,13 @@ TEST(LogServiceTest, MergeDelayBatchesConcurrentSubmissionsIntoOneSth) {
 
 TEST(LogServiceTest, DedupReturnsOriginalIndexAndTimestamp) {
   LogService service(fast_config("Svc Dedup"));
-  const SubmitOutcome first = submit_wait(service, 7, kNow);
-  ASSERT_EQ(first.status, SubmitStatus::ok);
+  const ct::SubmitResult first = submit_wait(service, 7, kNow);
+  ASSERT_EQ(first.status, ct::SubmitStatus::ok);
 
   // Resubmission an hour later: same index, the *original* timestamp, and
   // the tree does not grow (RFC 6962 resubmission semantics).
-  const SubmitOutcome again = submit_wait(service, 7, kNow + 3600);
-  ASSERT_EQ(again.status, SubmitStatus::ok);
+  const ct::SubmitResult again = submit_wait(service, 7, kNow + 3600);
+  ASSERT_EQ(again.status, ct::SubmitStatus::ok);
   EXPECT_EQ(again.index, first.index);
   EXPECT_EQ(again.sct->timestamp_ms, first.sct->timestamp_ms);
   EXPECT_EQ(service.tree_size(), 1u);
@@ -121,15 +121,15 @@ TEST(LogServiceTest, QueueFullFailsFastWithOverloaded) {
   service.pause_sequencer_for_test();  // freeze draining: the queue can fill
 
   std::atomic<int> completed{0};
-  auto count = [&completed](const SubmitOutcome&) { completed.fetch_add(1); };
+  auto count = [&completed](const ct::SubmitResult&) { completed.fetch_add(1); };
   for (std::uint64_t i = 0; i < 4; ++i) {
     EXPECT_EQ(service.submit(entry_of(i), fingerprint_of(i), "Test CA", kNow, count),
-              SubmitStatus::ok);
+              ct::SubmitStatus::ok);
   }
   EXPECT_EQ(service.queue_depth(), 4u);
   // Beyond capacity: fail fast, nothing blocks, the rejection is counted.
   EXPECT_EQ(service.submit(entry_of(99), fingerprint_of(99), "Test CA", kNow, count),
-            SubmitStatus::overloaded);
+            ct::SubmitStatus::overloaded);
   EXPECT_EQ(service.overload_rejections(), 1u);
 
   service.resume_sequencer_for_test();
@@ -144,10 +144,10 @@ TEST(LogServiceTest, StopCompletesEverythingQueued) {
   std::atomic<int> completed{0};
   for (std::uint64_t i = 0; i < 16; ++i) {
     ASSERT_EQ(service.submit(entry_of(i), fingerprint_of(i), "Test CA", kNow,
-                             [&completed](const SubmitOutcome& o) {
-                               if (o.status == SubmitStatus::ok) completed.fetch_add(1);
+                             [&completed](const ct::SubmitResult& o) {
+                               if (o.status == ct::SubmitStatus::ok) completed.fetch_add(1);
                              }),
-              SubmitStatus::ok);
+              ct::SubmitStatus::ok);
   }
   service.resume_sequencer_for_test();
   service.stop();
@@ -155,18 +155,18 @@ TEST(LogServiceTest, StopCompletesEverythingQueued) {
   EXPECT_EQ(service.tree_size(), 16u);
   // After stop, new submissions are refused.
   EXPECT_EQ(service.submit(entry_of(99), fingerprint_of(99), "Test CA", kNow),
-            SubmitStatus::shutdown);
+            ct::SubmitStatus::shutdown);
 }
 
 TEST(LogServiceTest, StaleSnapshotProofsKeepVerifying) {
   LogService service(fast_config("Svc Stale"));
   for (std::uint64_t i = 0; i < 5; ++i) {
-    ASSERT_EQ(submit_wait(service, i, kNow).status, SubmitStatus::ok);
+    ASSERT_EQ(submit_wait(service, i, kNow).status, ct::SubmitStatus::ok);
   }
   const ct::SignedTreeHead stale = service.get_sth();
   ASSERT_EQ(stale.tree_size, 5u);
   for (std::uint64_t i = 5; i < 12; ++i) {
-    ASSERT_EQ(submit_wait(service, i, kNow + 60).status, SubmitStatus::ok);
+    ASSERT_EQ(submit_wait(service, i, kNow + 60).status, ct::SubmitStatus::ok);
   }
   const ct::SignedTreeHead fresh = service.get_sth();
   ASSERT_EQ(fresh.tree_size, 12u);
@@ -188,7 +188,7 @@ TEST(LogServiceTest, StaleSnapshotProofsKeepVerifying) {
 TEST(LogServiceTest, GetEntriesReturnsStoredRecordsAndClamps) {
   LogService service(fast_config("Svc Entries"));
   for (std::uint64_t i = 0; i < 3; ++i) {
-    ASSERT_EQ(submit_wait(service, i, kNow).status, SubmitStatus::ok);
+    ASSERT_EQ(submit_wait(service, i, kNow).status, ct::SubmitStatus::ok);
   }
   const auto records = service.get_entries(1, 10);  // clamped to [1, 3)
   ASSERT_EQ(records.size(), 2u);
@@ -207,7 +207,7 @@ TEST(LogServiceTest, GetEntriesRangeClampRegressions) {
   config.max_get_entries = 4;  // small window cap to exercise the clamp
   LogService service(config);
   for (std::uint64_t i = 0; i < 6; ++i) {
-    ASSERT_EQ(submit_wait(service, i, kNow).status, SubmitStatus::ok);
+    ASSERT_EQ(submit_wait(service, i, kNow).status, ct::SubmitStatus::ok);
   }
   ASSERT_EQ(service.tree_size(), 6u);
 
@@ -252,22 +252,23 @@ TEST(LogServiceTest, RejectsInvalidChainsInTheCallerThread) {
 
   // Wrong issuer key: synchronous rejection, no completion pending.
   EXPECT_EQ(service.submit_chain(issued.final_certificate, other.public_key(), kNow),
-            SubmitStatus::rejected_invalid);
+            ct::SubmitStatus::rejected_invalid);
   // Entry-kind confusion is refused on both endpoints.
   EXPECT_EQ(service.submit_chain(issued.precertificate, ca.public_key(), kNow),
-            SubmitStatus::rejected_invalid);
+            ct::SubmitStatus::rejected_invalid);
   EXPECT_EQ(service.submit_pre_chain(issued.final_certificate, ca.public_key(), kNow),
-            SubmitStatus::rejected_invalid);
+            ct::SubmitStatus::rejected_invalid);
   EXPECT_EQ(service.tree_size(), 0u);
 
   // The valid flavors land: add-pre-chain then add-chain (distinct leaves).
-  const SubmitOutcome pre = service.submit_and_wait(issued.precertificate, ca.public_key(), kNow);
-  ASSERT_EQ(pre.status, SubmitStatus::ok);
+  const ct::SubmitResult pre =
+      service.submit_and_wait(issued.precertificate, ca.public_key(), kNow);
+  ASSERT_EQ(pre.status, ct::SubmitStatus::ok);
   const ct::SignedEntry entry = ct::make_precert_entry(issued.precertificate, ca.public_key());
   EXPECT_TRUE(ct::verify_sct(*pre.sct, entry, service.public_key()));
-  const SubmitOutcome fin =
+  const ct::SubmitResult fin =
       service.submit_and_wait(issued.final_certificate, ca.public_key(), kNow);
-  ASSERT_EQ(fin.status, SubmitStatus::ok);
+  ASSERT_EQ(fin.status, ct::SubmitStatus::ok);
   EXPECT_EQ(service.tree_size(), 2u);
 }
 
@@ -288,7 +289,7 @@ TEST(LogServiceTest, FanoutDropsForSlowConsumerWithoutStallingSeal) {
 
   constexpr std::uint64_t kEvents = 32;
   for (std::uint64_t i = 0; i < kEvents; ++i) {
-    ASSERT_EQ(submit_wait(service, i, kNow).status, SubmitStatus::ok);
+    ASSERT_EQ(submit_wait(service, i, kNow).status, ct::SubmitStatus::ok);
   }
   // All 32 submissions completed (sealing never waited on the consumer)
   // even though the consumer has processed at most one event.
@@ -329,12 +330,12 @@ TEST(LogServiceTest, ConcurrentSubmittersAndReadersSmoke) {
     threads.emplace_back([&, t] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
         const std::uint64_t n = static_cast<std::uint64_t>(t) * kPerThread + i;
-        const SubmitStatus status = service.submit(
+        const ct::SubmitStatus status = service.submit(
             entry_of(n), fingerprint_of(n), "Smoke CA", kNow,
-            [&completed](const SubmitOutcome& o) {
-              if (o.status == SubmitStatus::ok) completed.fetch_add(1);
+            [&completed](const ct::SubmitResult& o) {
+              if (o.status == ct::SubmitStatus::ok) completed.fetch_add(1);
             });
-        if (status == SubmitStatus::ok) {
+        if (status == ct::SubmitStatus::ok) {
           accepted.fetch_add(1);
         } else {
           std::this_thread::yield();  // overloaded: retry the next ordinal
@@ -504,8 +505,8 @@ TEST(LogServiceTest, SubmissionSpanTreeCrossesThreeThreads) {
     service.subscribe("trace-probe", [&streamed](const StreamEvent& event) {
       if (event.index == 0) streamed.set_value();
     });
-    const SubmitOutcome outcome = submit_wait(service, 900, kNow);
-    ASSERT_EQ(outcome.status, SubmitStatus::ok);
+    const ct::SubmitResult outcome = submit_wait(service, 900, kNow);
+    ASSERT_EQ(outcome.status, ct::SubmitStatus::ok);
     streamed.get_future().wait();
     service.stop();
   }
@@ -571,7 +572,7 @@ TEST(LogServiceTest, StageLatencyHistogramsObserveTraffic) {
       if (event.index == 2) streamed.set_value();
     });
     for (std::uint64_t n = 0; n < 3; ++n) {
-      ASSERT_EQ(submit_wait(service, 1000 + n, kNow).status, SubmitStatus::ok);
+      ASSERT_EQ(submit_wait(service, 1000 + n, kNow).status, ct::SubmitStatus::ok);
     }
     streamed.get_future().wait();
     service.stop();

@@ -110,12 +110,10 @@ TEST_F(SctAuditTest, BrokenPromiseDetected) {
   const x509::Certificate ghost = ca_.issue_unlogged(request, now_);
   ct::SignedEntry ghost_entry = ct::make_precert_entry(ghost, ca_.public_key());
 
-  ct::SignedCertificateTimestamp forged;
-  forged.log_id = log_->log_id();
-  forged.timestamp_ms = issued.scts[0].timestamp_ms;
   const auto signer =
       crypto::make_signer("ct-log/Audit2 Log", SignatureScheme::hmac_sha256_simulated);
-  forged.signature = signer->sign(ct::sct_signing_input(forged, ghost_entry));
+  const ct::SignedCertificateTimestamp forged =
+      ct::sign_sct(*signer, log_->log_id(), issued.scts[0].timestamp_ms, ghost_entry);
   ASSERT_TRUE(ct::verify_sct(forged, ghost_entry, log_->public_key()));
   EXPECT_FALSE(ct::find_promised_entry(*log_, forged, ghost_entry));
   EXPECT_FALSE(ct::audit_sct_inclusion(*log_, forged, ghost_entry, now_ + 86400));

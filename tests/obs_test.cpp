@@ -371,14 +371,14 @@ TEST(ObsMetricsTest, LatencyHistogramsShareRenderedHistogramSection) {
     ct::SignedEntry entry;
     entry.type = ct::EntryType::x509_entry;
     entry.data = to_bytes("obs-render-once");
-    std::promise<logsvc::SubmitStatus> sealed;
+    std::promise<ct::SubmitStatus> sealed;
     ASSERT_EQ(service.submit(entry, crypto::Sha256::hash(entry.data), "Test CA",
                              SimTime::parse("2018-04-01"),
-                             [&sealed](const logsvc::SubmitOutcome& outcome) {
+                             [&sealed](const ct::SubmitResult& outcome) {
                                sealed.set_value(outcome.status);
                              }),
-              logsvc::SubmitStatus::ok);
-    EXPECT_EQ(sealed.get_future().get(), logsvc::SubmitStatus::ok);
+              ct::SubmitStatus::ok);
+    EXPECT_EQ(sealed.get_future().get(), ct::SubmitStatus::ok);
     service.stop();
   }
   EXPECT_GE(registry.latency("logsvc.batch_size").count(), 1u);

@@ -79,13 +79,13 @@ crypto::Digest fingerprint_of(std::uint64_t n) {
 
 /// One submission, waited to completion — so batches are exactly one
 /// entry each and the write-op sequence is workload-deterministic.
-logsvc::SubmitOutcome submit_wait(logsvc::LogService& service, std::uint64_t n) {
-  std::promise<logsvc::SubmitOutcome> promise;
+ct::SubmitResult submit_wait(logsvc::LogService& service, std::uint64_t n) {
+  std::promise<ct::SubmitResult> promise;
   auto future = promise.get_future();
-  const logsvc::SubmitStatus status = service.submit(
+  const ct::SubmitStatus status = service.submit(
       entry_of(n), fingerprint_of(n), "Matrix CA", SimTime::parse("2018-04-01"),
-      [&promise](const logsvc::SubmitOutcome& outcome) { promise.set_value(outcome); });
-  if (status != logsvc::SubmitStatus::ok) return logsvc::SubmitOutcome{status, 0, std::nullopt};
+      [&promise](const ct::SubmitResult& outcome) { promise.set_value(outcome); });
+  if (status != ct::SubmitStatus::ok) return ct::SubmitResult{status, 0, std::nullopt};
   return future.get();
 }
 
@@ -108,8 +108,8 @@ DryRun dry_run(crypto::SignatureScheme scheme, std::uint64_t entries) {
   logsvc::LogService service(workload_config(open.store.get(), scheme));
   dry.chain.push_back(service.get_sth());  // size 0: the signed empty tree
   for (std::uint64_t i = 0; i < entries; ++i) {
-    const logsvc::SubmitOutcome outcome = submit_wait(service, i);
-    EXPECT_EQ(outcome.status, logsvc::SubmitStatus::ok);
+    const ct::SubmitResult outcome = submit_wait(service, i);
+    EXPECT_EQ(outcome.status, ct::SubmitStatus::ok);
     EXPECT_EQ(outcome.index, i);
     dry.leaves.push_back(service.leaf_hash_at(i));
     dry.chain.push_back(service.get_sth());
@@ -144,10 +144,10 @@ void run_crash_point(const DryRun& dry, crypto::SignatureScheme scheme,
     ASSERT_NE(open.store, nullptr) << open.detail;
     logsvc::LogService service(workload_config(open.store.get(), scheme));
     for (std::uint64_t i = 0; i < kEntries; ++i) {
-      const logsvc::SubmitOutcome outcome = submit_wait(service, i);
-      if (outcome.status != logsvc::SubmitStatus::ok) {
+      const ct::SubmitResult outcome = submit_wait(service, i);
+      if (outcome.status != ct::SubmitStatus::ok) {
         // The kill landed: every later submission fail-stops too.
-        EXPECT_EQ(outcome.status, logsvc::SubmitStatus::storage_error);
+        EXPECT_EQ(outcome.status, ct::SubmitStatus::storage_error);
         break;
       }
       EXPECT_EQ(outcome.index, i);
@@ -306,7 +306,7 @@ TEST(StorageCrashMatrixTest, EcdsaSignaturesSurviveVerbatim) {
       ASSERT_NE(open.store, nullptr) << open.detail;
       logsvc::LogService service(workload_config(open.store.get(), scheme));
       for (std::uint64_t i = 0; i < 8; ++i) {
-        if (submit_wait(service, i).status != logsvc::SubmitStatus::ok) break;
+        if (submit_wait(service, i).status != ct::SubmitStatus::ok) break;
         ++acked;
       }
     }

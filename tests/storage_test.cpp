@@ -788,14 +788,14 @@ ct::SignedEntry entry_of(std::uint64_t n) {
   return entry;
 }
 
-logsvc::SubmitOutcome submit_wait(logsvc::LogService& service, std::uint64_t n) {
-  std::promise<logsvc::SubmitOutcome> promise;
+ct::SubmitResult submit_wait(logsvc::LogService& service, std::uint64_t n) {
+  std::promise<ct::SubmitResult> promise;
   auto future = promise.get_future();
-  const logsvc::SubmitStatus status = service.submit(
+  const ct::SubmitStatus status = service.submit(
       entry_of(n), digest_of("fp-" + std::to_string(n)), "Test CA",
       SimTime::parse("2018-04-01"),
-      [&promise](const logsvc::SubmitOutcome& outcome) { promise.set_value(outcome); });
-  if (status != logsvc::SubmitStatus::ok) return logsvc::SubmitOutcome{status, 0, std::nullopt};
+      [&promise](const ct::SubmitResult& outcome) { promise.set_value(outcome); });
+  if (status != ct::SubmitStatus::ok) return ct::SubmitResult{status, 0, std::nullopt};
   return future.get();
 }
 
@@ -810,8 +810,8 @@ TEST(StorageServiceTest, OrderlyStopThenReopenLosesNoSealedEntry) {
     ASSERT_NE(open.store, nullptr) << open.detail;
     logsvc::LogService service(service_config("Durable Log", open.store.get()));
     for (std::uint64_t i = 0; i < 8; ++i) {
-      const logsvc::SubmitOutcome outcome = submit_wait(service, i);
-      ASSERT_EQ(outcome.status, logsvc::SubmitStatus::ok);
+      const ct::SubmitResult outcome = submit_wait(service, i);
+      ASSERT_EQ(outcome.status, ct::SubmitStatus::ok);
       leaf_hashes.push_back(service.leaf_hash_at(outcome.index));
     }
     committed = service.get_sth();
@@ -837,8 +837,8 @@ TEST(StorageServiceTest, OrderlyStopThenReopenLosesNoSealedEntry) {
                                        service.inclusion_proof(i, 8), committed.root_hash));
     }
     // Dedup state survived: resubmitting entry 3 re-issues index 3.
-    const logsvc::SubmitOutcome dup = submit_wait(service, 3);
-    ASSERT_EQ(dup.status, logsvc::SubmitStatus::ok);
+    const ct::SubmitResult dup = submit_wait(service, 3);
+    ASSERT_EQ(dup.status, ct::SubmitStatus::ok);
     EXPECT_EQ(dup.index, 3u);
     EXPECT_EQ(service.tree_size(), 8u);  // the tree did not grow
   }
@@ -855,13 +855,13 @@ TEST(StorageServiceTest, KillRecoverServesOnlyDurableState) {
     ASSERT_NE(open.store, nullptr) << open.detail;
     logsvc::LogService service(service_config("Durable Log", open.store.get()));
     for (std::uint64_t i = 0; i < 6; ++i) {
-      ASSERT_EQ(submit_wait(service, i).status, logsvc::SubmitStatus::ok);
+      ASSERT_EQ(submit_wait(service, i).status, ct::SubmitStatus::ok);
       chain.push_back(service.get_sth());
     }
     open.store->env().crash_now();  // SIGKILL mid-flight
     // The poisoned store fail-stops new work while reads keep serving.
-    const logsvc::SubmitOutcome refused = submit_wait(service, 99);
-    EXPECT_EQ(refused.status, logsvc::SubmitStatus::storage_error);
+    const ct::SubmitResult refused = submit_wait(service, 99);
+    EXPECT_EQ(refused.status, ct::SubmitStatus::storage_error);
     EXPECT_EQ(service.get_sth().tree_size, 6u);  // last durable head
     EXPECT_GE(service.storage_failures(), 1u);
   }
@@ -890,7 +890,7 @@ TEST(StorageServiceTest, WrongLogNameRefusesAdoption) {
     LogStore::Open open = LogStore::open(options);
     ASSERT_NE(open.store, nullptr) << open.detail;
     logsvc::LogService service(service_config("Log A", open.store.get()));
-    ASSERT_EQ(submit_wait(service, 1).status, logsvc::SubmitStatus::ok);
+    ASSERT_EQ(submit_wait(service, 1).status, ct::SubmitStatus::ok);
     service.stop();
     ASSERT_TRUE(open.store->close().ok());
   }
@@ -918,8 +918,8 @@ TEST(StorageServiceTest, StorageErrorCompletionsNeverLoseSubmitters) {
   ASSERT_NE(open.store, nullptr) << open.detail;
   logsvc::LogService service(service_config("Durable Log", open.store.get()));
   for (std::uint64_t i = 0; i < 3; ++i) {
-    const logsvc::SubmitOutcome outcome = submit_wait(service, i);
-    EXPECT_EQ(outcome.status, logsvc::SubmitStatus::storage_error);
+    const ct::SubmitResult outcome = submit_wait(service, i);
+    EXPECT_EQ(outcome.status, ct::SubmitStatus::storage_error);
     EXPECT_FALSE(outcome.sct.has_value());
   }
   EXPECT_EQ(service.tree_size(), 0u);

@@ -433,15 +433,15 @@ ct::SignedEntry entry_of(const std::string& tag, std::uint64_t n) {
   return entry;
 }
 
-logsvc::SubmitOutcome submit_wait(logsvc::LogService& service, const std::string& tag,
-                                  std::uint64_t n) {
-  std::promise<logsvc::SubmitOutcome> promise;
+ct::SubmitResult submit_wait(logsvc::LogService& service, const std::string& tag,
+                             std::uint64_t n) {
+  std::promise<ct::SubmitResult> promise;
   auto future = promise.get_future();
-  const logsvc::SubmitStatus status = service.submit(
+  const ct::SubmitStatus status = service.submit(
       entry_of(tag, n), digest_of(tag + "-fp-" + std::to_string(n)), "Paged CA",
       SimTime::parse("2018-04-01"),
-      [&promise](const logsvc::SubmitOutcome& outcome) { promise.set_value(outcome); });
-  if (status != logsvc::SubmitStatus::ok) return logsvc::SubmitOutcome{status, 0, std::nullopt};
+      [&promise](const ct::SubmitResult& outcome) { promise.set_value(outcome); });
+  if (status != ct::SubmitStatus::ok) return ct::SubmitResult{status, 0, std::nullopt};
   return future.get();
 }
 
@@ -458,8 +458,8 @@ TEST(StoragePagedServiceTest, PagedReadsMatchResidentPathAcrossTheBoundary) {
     ASSERT_NE(open.store, nullptr) << open.detail;
     logsvc::LogService service(service_config("Paged Log", open.store.get()));
     for (std::uint64_t i = 0; i < kCheckpointed; ++i) {
-      const logsvc::SubmitOutcome outcome = submit_wait(service, "gen1", i);
-      ASSERT_EQ(outcome.status, logsvc::SubmitStatus::ok);
+      const ct::SubmitResult outcome = submit_wait(service, "gen1", i);
+      ASSERT_EQ(outcome.status, ct::SubmitStatus::ok);
       ASSERT_EQ(outcome.index, i);
       leaves.push_back(service.leaf_hash_at(i));
     }
@@ -481,8 +481,8 @@ TEST(StoragePagedServiceTest, PagedReadsMatchResidentPathAcrossTheBoundary) {
   // Live submissions past the boundary: proofs now straddle paged pages
   // and the resident tail.
   for (std::uint64_t i = 0; i < kLive; ++i) {
-    const logsvc::SubmitOutcome outcome = submit_wait(service, "gen2", i);
-    ASSERT_EQ(outcome.status, logsvc::SubmitStatus::ok);
+    const ct::SubmitResult outcome = submit_wait(service, "gen2", i);
+    ASSERT_EQ(outcome.status, ct::SubmitStatus::ok);
     ASSERT_EQ(outcome.index, kCheckpointed + i);
     leaves.push_back(service.leaf_hash_at(kCheckpointed + i));
   }
@@ -521,7 +521,7 @@ TEST(StoragePagedServiceTest, PagedReadsMatchResidentPathAcrossTheBoundary) {
   EXPECT_THROW((void)service.leaf_hash_at(size), std::out_of_range);
 
   // get-entries: paged-only, straddling, resident-only, clamped.
-  std::vector<logsvc::EntryRecord> records = service.get_entries(0, 5);
+  std::vector<ct::LogEntry> records = service.get_entries(0, 5);
   ASSERT_EQ(records.size(), 5u);
   EXPECT_EQ(records[4].index, 4u);
   records = service.get_entries(kCheckpointed - 10, 20);
