@@ -18,16 +18,23 @@
 //   RESULT {"bench":"httpd_wire","config":{...},"metrics":{rps,
 //           rps_per_core, p50_us, p99_us, ...}}
 //
+// Before the fleet starts, the log is prefilled with kPrefillEntries
+// distinct entries, so get-proof-by-hash and get-sth-consistency prove
+// against a 65,537-leaf tree (a leaf in its middle; first=size/2+1) —
+// never a 1-leaf tree that would make proofs look free.
+//
 // --strict gates zero transport/HTTP errors (CI smoke). Deterministic
 // endpoint mix per --seed; timings are hardware-dependent, correctness
 // (status codes, response parse) is not.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <mutex>
 #include <optional>
 #include <random>
 #include <string>
@@ -61,6 +68,10 @@ using namespace ctwatch;
 using Clock = std::chrono::steady_clock;
 
 namespace {
+
+/// Distinct entries submitted before the run: past 256² leaves, so a
+/// proof crosses two tile levels.
+constexpr std::uint64_t kPrefillEntries = 65537;
 
 struct Options {
   std::size_t connections = 1024;
@@ -387,6 +398,47 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // --- prefill: a tree worth proving against ---
+  {
+    struct Waiter {
+      std::mutex mu;
+      std::condition_variable cv;
+      std::uint64_t ok = 0, failed = 0;
+    } waiter;
+    const SimTime prefill_time = SimTime::parse("2018-04-01");
+    for (std::uint64_t i = 0; i < kPrefillEntries;) {
+      ct::SignedEntry entry;
+      entry.type = ct::EntryType::x509_entry;
+      entry.data = to_bytes("wire-bench-prefill-" + std::to_string(i));
+      const crypto::Digest fingerprint = crypto::Sha256::hash(entry.data);
+      const ct::SubmitStatus status = service.submit(
+          std::move(entry), fingerprint, "Wire Bench CA", prefill_time,
+          [&waiter](const ct::SubmitResult& outcome) {
+            std::lock_guard<std::mutex> lock(waiter.mu);
+            ++(outcome.status == ct::SubmitStatus::ok ? waiter.ok : waiter.failed);
+            waiter.cv.notify_all();
+          });
+      if (status == ct::SubmitStatus::ok) {
+        ++i;
+      } else if (status == ct::SubmitStatus::overloaded) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));  // let the sequencer drain
+      } else {
+        std::fprintf(stderr, "prefill refused: status %d\n", static_cast<int>(status));
+        return 1;
+      }
+    }
+    std::unique_lock<std::mutex> lock(waiter.mu);
+    waiter.cv.wait(lock, [&] { return waiter.ok + waiter.failed == kPrefillEntries; });
+    if (waiter.failed != 0 || service.tree_size() != kPrefillEntries) {
+      std::fprintf(stderr, "prefill failed: %llu of %llu entries integrated\n",
+                   static_cast<unsigned long long>(service.tree_size()),
+                   static_cast<unsigned long long>(kPrefillEntries));
+      return 1;
+    }
+  }
+  const std::uint64_t prefilled = service.tree_size();
+  const crypto::Digest proof_target = service.leaf_hash_at(prefilled / 2);
+
   // --- seed the tree + startup round-trip check ---
   auto signer = crypto::make_signer("wire-bench-ca", crypto::SignatureScheme::hmac_sha256_simulated);
   x509::DistinguishedName dn;
@@ -414,10 +466,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "startup round trip failed: add-chain did not answer 200\n");
     return 1;
   }
-  const auto sct_doc = httpd::json::parse(*seeded);
-  const std::uint64_t ts = sct_doc ? sct_doc->get_u64("timestamp").value_or(0) : 0;
-  const crypto::Digest leaf_hash =
-      ct::leaf_hash(ct::merkle_leaf_bytes(ts, ct::make_x509_entry(leaf)));
   if (!blocking_round_trip(server.port(), get_request("/ct/v1/get-sth"))) {
     std::fprintf(stderr, "startup round trip failed: get-sth did not answer 200\n");
     return 1;
@@ -430,10 +478,13 @@ int main(int argc, char** argv) {
   endpoints.push_back(
       {"get-proof-by-hash",
        get_request("/ct/v1/get-proof-by-hash?hash=" +
-                   url_encode_b64(base64_encode(leaf_hash)) + "&tree_size=1")});
+                   url_encode_b64(base64_encode(proof_target)) +
+                   "&tree_size=" + std::to_string(prefilled))});
   endpoints.push_back({"add-chain", post_request("/ct/v1/add-chain", chain_body)});
   endpoints.push_back(
-      {"get-sth-consistency", get_request("/ct/v1/get-sth-consistency?first=1&second=1")});
+      {"get-sth-consistency",
+       get_request("/ct/v1/get-sth-consistency?first=" + std::to_string(prefilled / 2 + 1) +
+                   "&second=" + std::to_string(prefilled))});
   std::vector<double> cdf;
   double total = 0;
   for (std::size_t k = 0; k < endpoints.size(); ++k) {

@@ -2,6 +2,9 @@
 // Merkle tree maintenance, DER encoding, PSL splitting, DNS resolution.
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <memory>
+
 #include "ctwatch/ct/log.hpp"
 #include "ctwatch/dns/psl.hpp"
 #include "ctwatch/sim/ca.hpp"
@@ -57,18 +60,43 @@ void BM_MerkleAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_MerkleAppend);
 
-void BM_MerkleInclusionProof(benchmark::State& state) {
-  ct::MerkleTree tree;
-  for (int i = 0; i < 4096; ++i) {
-    tree.append(crypto::Sha256::hash(to_bytes("leaf" + std::to_string(i))));
+/// One tree per size, built once: google-benchmark calls a function
+/// several times per argument, and a 2^20-leaf build costs seconds.
+const ct::MerkleTree& proof_tree(std::uint64_t leaves) {
+  static std::map<std::uint64_t, std::unique_ptr<ct::MerkleTree>> trees;
+  std::unique_ptr<ct::MerkleTree>& tree = trees[leaves];
+  if (!tree) {
+    tree = std::make_unique<ct::MerkleTree>();
+    for (std::uint64_t i = 0; i < leaves; ++i) {
+      tree->append(crypto::Sha256::hash(to_bytes("leaf" + std::to_string(i))));
+    }
   }
-  std::uint64_t index = 0;
+  return *tree;
+}
+
+/// Proof targets spread over the whole tree (a multiplicative stride),
+/// not clustered at its left edge.
+std::uint64_t spread(std::uint64_t i, std::uint64_t n) { return (i * 2654435761ULL) % n; }
+
+void BM_MerkleInclusionProof(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  const ct::MerkleTree& tree = proof_tree(n);
+  std::uint64_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.inclusion_proof(index % 4096, 4096));
-    ++index;
+    benchmark::DoNotOptimize(tree.inclusion_proof(spread(i++, n), n));
   }
 }
-BENCHMARK(BM_MerkleInclusionProof);
+BENCHMARK(BM_MerkleInclusionProof)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+
+void BM_MerkleConsistencyProof(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  const ct::MerkleTree& tree = proof_tree(n);
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tree.consistency_proof(1 + spread(i++, n - 1), n));
+  }
+}
+BENCHMARK(BM_MerkleConsistencyProof)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_CertificateIssuance(benchmark::State& state) {
   sim::CertificateAuthority ca("Bench CA", "Bench Issuing CA",

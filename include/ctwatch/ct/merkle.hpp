@@ -9,10 +9,12 @@
 // tree heads and the tests actively tamper with histories to confirm
 // detection.
 //
-// Root and proof computation is written once, as templates over a leaf
-// accessor (index -> leaf hash), so that `MerkleTree` (contiguous vector
-// storage) and `logsvc`'s concurrent chunked leaf store share the exact
-// same RFC 6962 math instead of duplicating it.
+// Every log proves through one path: ct/tiled.hpp's tile-addressed math
+// over resident (or paged) hash tiles, O(log n) per proof. The
+// `merkle_*` templates below are the direct RFC 6962 recursion over a
+// leaf accessor (index -> leaf hash), O(n) per proof; nothing in the
+// library calls them any more — they stay as the reference oracle the
+// tests, benches and ctbench's self-test diff the tiled path against.
 #pragma once
 
 #include <cstdint>
@@ -34,13 +36,32 @@ Digest node_hash(const Digest& left, const Digest& right);
 /// SHA-256 of the empty string: the root of the empty tree per RFC 6962.
 Digest empty_tree_root();
 
+/// Tile geometry, shared by the accumulator's sink, the tiled proof math
+/// and ctwatch::storage's pages: a tile is a perfect subtree of height 8.
+inline constexpr unsigned kTileHeight = 8;
+inline constexpr std::uint64_t kTileWidth = std::uint64_t{1} << kTileHeight;
+
+/// The hash tiles above level 0, resident: `levels[L-1]` holds every
+/// completed level-L entry, where entry e of level L is the root of the
+/// perfect subtree over leaves [e·256^L, (e+1)·256^L). A TileLevels is
+/// itself a RootAccumulator::add sink, so appending keeps it current
+/// without hashing anything the accumulator does not already hash.
+struct TileLevels {
+  std::vector<std::vector<Digest>> levels;
+
+  void operator()(unsigned level, const Digest& root) {
+    if (levels.size() < level) levels.resize(level);
+    levels[level - 1].push_back(root);
+  }
+};
+
 namespace detail {
 /// Largest power of two strictly less than n (n >= 2).
 std::uint64_t merkle_split_point(std::uint64_t n);
 }  // namespace detail
 
-/// MTH(D[begin:end]) over any leaf accessor `leaf(index) -> Digest`.
-/// Requires end > begin.
+/// Reference oracle: MTH(D[begin:end]) over any leaf accessor
+/// `leaf(index) -> Digest`, by recursion. Requires end > begin.
 template <typename LeafFn>
 Digest merkle_range_root(const LeafFn& leaf, std::uint64_t begin, std::uint64_t end) {
   const std::uint64_t n = end - begin;
@@ -117,7 +138,29 @@ std::vector<Digest> merkle_consistency_path(const LeafFn& leaf, std::uint64_t ol
 class RootAccumulator {
  public:
   /// Folds one more leaf hash into the running root.
-  void add(const Digest& leaf);
+  void add(const Digest& leaf) {
+    add(leaf, [](unsigned, const Digest&) {});
+  }
+
+  /// The same, also reporting `sink(level, root)` for every perfect
+  /// subtree the merge completes whose height is a positive multiple of
+  /// kTileHeight (level = height / kTileHeight). Those are exactly the
+  /// tile entries at level >= 1, in order per level: the add() of leaf
+  /// (e+1)·256^L - 1 reports level-L entry e. The merge computes them
+  /// anyway, so the sink costs no hashing.
+  template <typename Sink>
+  void add(const Digest& leaf, Sink&& sink) {
+    // Binary-counter merge: one stack entry per set bit of the new size.
+    Digest acc = leaf;
+    unsigned height = 0;
+    for (std::uint64_t size = size_; size & 1; size >>= 1) {
+      acc = node_hash(stack_.back(), acc);
+      stack_.pop_back();
+      if (++height % kTileHeight == 0) sink(height / kTileHeight, acc);
+    }
+    stack_.push_back(acc);
+    ++size_;
+  }
 
   [[nodiscard]] std::uint64_t size() const { return size_; }
   [[nodiscard]] Digest root() const;
@@ -143,8 +186,9 @@ class RootAccumulator {
 
 /// An append-only Merkle tree over pre-hashed leaves.
 ///
-/// Appends are O(log n) amortized (via RootAccumulator); proofs and
-/// historic roots are computed by recursion over the stored leaf hashes.
+/// Appends are O(log n) amortized (via RootAccumulator, whose sink keeps
+/// the upper tile levels); proofs and historic roots are O(log n), served
+/// by ct/tiled.hpp over the leaf vector plus those levels.
 class MerkleTree {
  public:
   /// Appends a leaf (already leaf-hashed) and returns its index.
@@ -174,6 +218,7 @@ class MerkleTree {
 
  private:
   std::vector<Digest> leaves_;
+  TileLevels upper_;
   RootAccumulator accumulator_;
 };
 

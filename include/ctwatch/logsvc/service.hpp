@@ -103,15 +103,18 @@ struct Config {
   /// the last durable snapshot.
   storage::LogStore* storage = nullptr;
   /// Storage-backed reads (requires `storage`). When set, adoption keeps
-  /// only the recovered WAL tail resident: reads below the recovered
-  /// checkpoint fall through to the store's tile cache (proofs, leaf
-  /// hashes) and entry segment (get-entries), so reopening a huge log
-  /// costs O(WAL tail) memory instead of O(tree). Tradeoffs, which is why
-  /// the memory-resident adoption stays the default: the dedup table
-  /// covers only the resident tail (a resubmission of a checkpointed
-  /// certificate grows the tree instead of re-issuing its SCT), and the
-  /// first get-proof-by-hash for a checkpointed leaf pays a one-time
-  /// streaming rebuild of the hash -> index map.
+  /// only the recovered WAL tail resident: leaf hashes and entries below
+  /// the recovered checkpoint come from the store's tile cache and entry
+  /// segment, so reopening a huge log costs O(WAL tail) memory (plus the
+  /// upper tile levels, 1/255 of the leaf hashes) instead of O(tree).
+  /// Proofs do not differ by mode: both run the same O(log n) tiled path,
+  /// which here reads the level-0 tiles below the checkpoint through the
+  /// cache. Tradeoffs, which is why the memory-resident adoption stays
+  /// the default: the dedup table covers only the resident tail (a
+  /// resubmission of a checkpointed certificate grows the tree instead of
+  /// re-issuing its SCT), and the first get-proof-by-hash for a
+  /// checkpointed leaf pays a one-time streaming rebuild of the
+  /// hash -> index map.
   bool paged_reads = false;
 };
 
@@ -203,8 +206,8 @@ class LogService {
   [[nodiscard]] std::vector<ct::LogEntry> get_entries(std::uint64_t start,
                                                       std::uint64_t count) const;
   /// Published tree size (== get_sth().tree_size). With paged reads the
-  /// resident stores hold only [resident_base_, tree_size).
-  [[nodiscard]] std::uint64_t tree_size() const { return resident_base_ + leaves_.size(); }
+  /// resident stores hold only [leaf_base_, tree_size).
+  [[nodiscard]] std::uint64_t tree_size() const { return leaf_base_ + leaves_.size(); }
   /// First leaf index the resident stores hold; everything below is
   /// served from storage. Zero unless Config::paged_reads adopted a
   /// checkpointed store.
@@ -291,37 +294,57 @@ class LogService {
   /// Publishes an already-signed STH — the exact object that was
   /// committed to storage (or recovered from it), never a re-signing.
   void publish_snapshot(ct::SignedTreeHead sth);
-  /// A per-query tile source: pages below the store's durable watermark,
-  /// the resident stores above resident_base_. Paged mode only.
-  [[nodiscard]] storage::PagedLeafSource paged_source() const;
+  /// The per-query tile source every proof runs through (service.cpp).
+  class ProofSource;
+  /// Key readers for the two DigestIndexes: their keys live in the stores.
+  [[nodiscard]] auto leaf_at() const {
+    return [this](std::uint64_t position) -> const crypto::Digest& {
+      return leaves_.at(position);
+    };
+  }
+  [[nodiscard]] auto fingerprint_at() const {
+    return [this](std::uint64_t position) -> const crypto::Digest& {
+      return entries_.at(position).fingerprint;
+    };
+  }
 
   Config config_;
   std::unique_ptr<crypto::Signer> signer_;
   ct::LogId log_id_;
 
   BoundedQueue<Pending> queue_;
-  AppendOnlyStore<crypto::Digest> leaves_;
-  AppendOnlyStore<ct::LogEntry> entries_;
+  AppendOnlyStore<crypto::Digest> leaves_;  ///< leaf hashes [leaf_base_, tree_size)
+  AppendOnlyStore<ct::LogEntry> entries_;   ///< records [resident_base_, tree_size)
+  /// Upper tile levels: upper_[L-1] holds every level-L entry (the root
+  /// of leaves [e·256^L, (e+1)·256^L)), from the accumulator's sink. One
+  /// 256-entry chunk per tile, capacity leaves_.capacity() / 256^L, so
+  /// each store is sized to its content.
+  std::vector<std::unique_ptr<AppendOnlyStore<crypto::Digest>>> upper_;
 
   // Sequencer-private state (no locking: single thread).
   ct::RootAccumulator accumulator_;
-  std::unordered_map<crypto::Digest, DedupValue, DigestHash> dedup_;
+  /// fingerprint -> position in entries_ (index - resident_base_).
+  DigestIndex dedup_;
   std::uint64_t last_timestamp_ms_ = 0;
   std::uint64_t seal_seq_ = 0;
 
   mutable std::mutex snapshot_mu_;  // held only for the shared_ptr swap/copy
   std::shared_ptr<const TreeSnapshot> snapshot_;
 
-  // leaf hash -> index, written by the sequencer at seal time, read by
-  // get-proof-by-hash. Its own narrow lock: readers never touch the
-  // snapshot or queue locks. Covers [resident_base_, tree_size).
+  // leaf hash -> position in leaves_ (index - leaf_base_), written by the
+  // sequencer at seal time, read by get-proof-by-hash. Its own narrow
+  // lock: readers never touch the snapshot or queue locks. Covers
+  // [resident_base_, tree_size).
   mutable std::mutex leaf_index_mu_;
-  std::unordered_map<crypto::Digest, std::uint64_t, DigestHash> leaf_index_;
+  DigestIndex leaf_index_;
 
-  /// Paged mode: where the resident stores begin. Set once during
-  /// construction (before the sequencer or any reader exists), then
-  /// immutable.
+  /// Paged mode: where the resident entry records begin, and where the
+  /// resident leaf hashes begin (resident_base_ floored to a tile, so
+  /// every level-0 tile is either wholly resident or wholly paged). Set
+  /// once during construction (before the sequencer or any reader
+  /// exists), then immutable.
   std::uint64_t resident_base_ = 0;
+  std::uint64_t leaf_base_ = 0;
   /// hash -> index for the checkpointed prefix [0, resident_base_),
   /// rebuilt lazily (one streaming pass over the tile pages) on the
   /// first get-proof-by-hash miss against the resident map.

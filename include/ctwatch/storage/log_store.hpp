@@ -18,7 +18,9 @@
 //
 // Memory model: the store is OUT OF CORE. Only the unsealed tail is
 // resident — the leaves past the last checkpoint's tile floor plus the
-// WAL's replayed entries; everything checkpointed is served by pread
+// WAL's replayed entries — together with the upper tile levels (1/255 of
+// the leaf hashes, the O(log n) proof path's working set, which
+// LogService seeds from); everything checkpointed is served by pread
 // through a sharded tile cache (leaf hashes, proof subtree roots) and a
 // sparse-indexed segment reader (entry records). Recovery streams the
 // segments in O(page) memory, so reopening a store costs O(WAL tail)
@@ -30,10 +32,12 @@
 //      -> offset directory; require complete level-0 coverage of the
 //      checkpointed tree and complete full upper pages;
 //   3. verify the checkpoint *cryptographically*: in `full` mode every
-//      leaf hash is re-folded (streaming, O(page) memory) and every
-//      upper tile entry recomputed, and the root + frontier must equal
-//      the checkpoint's; in `structural` mode the frontier is restored
-//      directly (O(log n)) after its shape and root are checked — for
+//      leaf hash is re-folded (streaming, O(page) memory) — the
+//      accumulator's sink yields every upper tile entry on the way, each
+//      completed upper page must equal the persisted one, and the root +
+//      frontier must equal the checkpoint's; in `structural` mode the
+//      frontier is restored directly (O(log n)) after its shape and root
+//      are checked, and the upper levels load from their pages — for
 //      reopening huge stores where a full refold is a deliberate,
 //      flagged tradeoff;
 //   4. stream entries.seg, CRC-checking frames and seeding the sparse
@@ -165,6 +169,11 @@ class LogStore {
   /// The last durable STH (nullopt on a fresh, still-empty store).
   [[nodiscard]] const std::optional<ct::SignedTreeHead>& durable_sth() const { return sth_; }
   [[nodiscard]] const ct::RootAccumulator& accumulator() const { return accumulator_; }
+  /// Every upper tile entry (levels >= 1) of the tree_size()-leaf tree,
+  /// resident — the cascade recovery and commits build from the
+  /// accumulator's sink. LogService seeds its proof path from it at
+  /// adoption instead of re-folding the leaves.
+  [[nodiscard]] const ct::TileLevels& tile_levels() const { return upper_; }
   [[nodiscard]] std::uint64_t last_timestamp_ms() const { return last_timestamp_ms_; }
 
   // --- the paged read path ---
@@ -235,10 +244,10 @@ class LogStore {
     std::uint32_t count;
   };
   IoResult write_dirty_tiles(std::vector<PendingTile>& written);
-  /// Feeds one completed perfect-subtree root into the upper-tile
-  /// cascade, appending any level that fills to 256.
-  IoResult cascade_entry(unsigned level, const crypto::Digest& digest,
-                         std::vector<PendingTile>& written, Bytes& page);
+  /// Appends every not-yet-written full upper page whose leaves lie
+  /// within the first `leaves` leaves, lowest level first.
+  IoResult write_upper_pages(std::uint64_t leaves, std::vector<PendingTile>& written,
+                             Bytes& page);
 
   LogStoreOptions options_;
   std::unique_ptr<Env> env_;
@@ -258,9 +267,10 @@ class LogStore {
   std::uint64_t last_timestamp_ms_ = 0;
 
   std::uint64_t tiles_persisted_leaves_ = 0;  ///< leaves covered by tiles.seg
-  /// Partial upper-tile entries per level (index 0 unused) and full
-  /// pages already written per level — the cascade's cursor.
-  std::vector<std::vector<crypto::Digest>> upper_pending_;
+  /// Upper tile entries (fed by the accumulator's sink) and the full
+  /// pages already written per level (index 0 unused) — the cascade's
+  /// cursor into them.
+  ct::TileLevels upper_;
   std::vector<std::uint64_t> upper_written_;
   Bytes entry_frames_pending_;  ///< framed entry records awaiting entries.seg
   /// (index, offset within entry_frames_pending_) for every future index

@@ -161,8 +161,8 @@ class PagedLeafSource : public ct::TileSource {
       : cache_(cache), paged_(paged_leaves), tail_(std::move(tail)) {}
 
   [[nodiscard]] std::uint64_t paged_leaves() const override { return paged_; }
-  bool page(unsigned level, std::uint64_t tile, std::uint64_t min_count,
-            ct::TilePageView& out) override;
+  bool entries(unsigned level, std::uint64_t first, std::uint64_t count,
+               ct::TilePageView& out) override;
   crypto::Digest leaf(std::uint64_t index) override { return tail_(index); }
 
   /// Distinct pages fetched from the cache so far — what one proof cost.

@@ -3,6 +3,8 @@
 #include <bit>
 #include <stdexcept>
 
+#include "ctwatch/ct/tiled.hpp"
+
 namespace ctwatch::ct {
 
 namespace detail {
@@ -25,19 +27,6 @@ Digest node_hash(const Digest& left, const Digest& right) {
 
 Digest empty_tree_root() { return crypto::Sha256::hash(BytesView{}); }
 
-void RootAccumulator::add(const Digest& leaf) {
-  // Binary-counter merge: one stack entry per set bit of the new size.
-  Digest acc = leaf;
-  std::uint64_t size = size_;  // old size
-  while (size & 1) {
-    acc = node_hash(stack_.back(), acc);
-    stack_.pop_back();
-    size >>= 1;
-  }
-  stack_.push_back(acc);
-  ++size_;
-}
-
 std::optional<RootAccumulator> RootAccumulator::from_frontier(std::vector<Digest> frontier,
                                                               std::uint64_t size) {
   if (frontier.size() != static_cast<std::size_t>(std::popcount(size))) return std::nullopt;
@@ -59,7 +48,7 @@ Digest RootAccumulator::root() const {
 std::uint64_t MerkleTree::append(const Digest& leaf) {
   const std::uint64_t index = leaves_.size();
   leaves_.push_back(leaf);
-  accumulator_.add(leaf);
+  accumulator_.add(leaf, upper_);
   return index;
 }
 
@@ -72,7 +61,8 @@ std::uint64_t MerkleTree::append_batch(std::span<const Digest> leaves) {
 
 Digest MerkleTree::root_at(std::uint64_t n) const {
   if (n > size()) throw std::out_of_range("MerkleTree::root_at: beyond tree size");
-  return merkle_root_of([this](std::uint64_t i) -> const Digest& { return leaves_[i]; }, n);
+  ResidentTileSource source(leaves_, upper_);
+  return tiled_root(source, n);
 }
 
 std::vector<Digest> MerkleTree::inclusion_proof(std::uint64_t index,
@@ -80,8 +70,8 @@ std::vector<Digest> MerkleTree::inclusion_proof(std::uint64_t index,
   if (tree_size > size() || index >= tree_size) {
     throw std::out_of_range("MerkleTree::inclusion_proof: bad index/size");
   }
-  return merkle_inclusion_path([this](std::uint64_t i) -> const Digest& { return leaves_[i]; },
-                               index, tree_size);
+  ResidentTileSource source(leaves_, upper_);
+  return tiled_inclusion_path(source, index, tree_size);
 }
 
 std::vector<Digest> MerkleTree::consistency_proof(std::uint64_t old_size,
@@ -89,8 +79,8 @@ std::vector<Digest> MerkleTree::consistency_proof(std::uint64_t old_size,
   if (new_size > size() || old_size > new_size) {
     throw std::out_of_range("MerkleTree::consistency_proof: bad sizes");
   }
-  return merkle_consistency_path([this](std::uint64_t i) -> const Digest& { return leaves_[i]; },
-                                 old_size, new_size);
+  ResidentTileSource source(leaves_, upper_);
+  return tiled_consistency_path(source, old_size, new_size);
 }
 
 bool verify_inclusion(const Digest& leaf, std::uint64_t index, std::uint64_t tree_size,

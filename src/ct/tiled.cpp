@@ -1,35 +1,24 @@
 #include "ctwatch/ct/tiled.hpp"
 
-#include "ctwatch/ct/merkle.hpp"
-
 namespace ctwatch::ct {
 
 namespace {
 
-constexpr unsigned kTileHeight = 8;                      // 256 leaves per tile
-constexpr std::uint64_t kTileWidth = 1ull << kTileHeight;
-
-/// MTH(D[index·2^j : (index+1)·2^j]) — a perfect subtree. One page fetch
-/// when the subtree is paged (its root is entry index·2^(j mod 8) of the
-/// level-(j/8) tile, or a fold of up to 128 adjacent entries of that
-/// tile); recursion into the children when it is not.
+/// MTH(D[index·2^j : (index+1)·2^j]) — a perfect subtree. One run of
+/// one tile when the subtree is below the watermark (its root is a fold
+/// of the 2^(j mod 8) adjacent level-(j/8) entries starting at
+/// index·2^(j mod 8) — aligned to their own width, so they never
+/// straddle a tile); recursion into the children when it is not.
 Digest perfect_root(TileSource& source, unsigned j, std::uint64_t index) {
   const std::uint64_t first_leaf = index << j;
   if (first_leaf + (std::uint64_t{1} << j) <= source.paged_leaves()) {
-    const unsigned level = j / kTileHeight;
-    const unsigned rem = j % kTileHeight;
-    // Entry coordinates at `level`: 2^rem adjacent entries starting at
-    // index·2^rem, aligned to their own width, so they never straddle a
-    // tile boundary.
-    const std::uint64_t entry_first = index << rem;
-    const std::uint64_t offset = entry_first & (kTileWidth - 1);
-    TilePageView page;
-    if (source.page(level, entry_first >> kTileHeight,
-                    offset + (std::uint64_t{1} << rem), page)) {
-      return fold_perfect(page.entries + offset, std::uint64_t{1} << rem);
+    const std::uint64_t width = std::uint64_t{1} << (j % kTileHeight);
+    TilePageView run;
+    if (source.entries(j / kTileHeight, index * width, width, run)) {
+      return fold_perfect(run.entries, width);
     }
-    // The upper level is absent or still partial: one level down covers
-    // the same subtree with two fetches instead of one.
+    // The level is absent or still partial: one level down covers the
+    // same subtree with two runs instead of one.
   }
   if (j == 0) return source.leaf(index);
   return node_hash(perfect_root(source, j - 1, 2 * index),
@@ -37,6 +26,19 @@ Digest perfect_root(TileSource& source, unsigned j, std::uint64_t index) {
 }
 
 }  // namespace
+
+bool ResidentTileSource::entries(unsigned level, std::uint64_t first, std::uint64_t count,
+                                 TilePageView& out) {
+  const std::vector<Digest>* row = &leaves_;
+  if (level > 0) {
+    if (level > upper_.levels.size()) return false;
+    row = &upper_.levels[level - 1];
+  }
+  if (first + count > row->size()) return false;
+  out.entries = row->data() + first;
+  out.count = count;
+  return true;
+}
 
 // Identical to the RFC 6962 recursion on a perfect range: the split
 // point of 2^k is 2^(k-1).

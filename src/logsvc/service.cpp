@@ -39,8 +39,14 @@ struct SvcMetrics {
   obs::LogLinearHistogram& merge_delay_us =
       obs::Registry::global().latency("logsvc.merge_delay_us");
   obs::LogLinearHistogram& sign_us = obs::Registry::global().latency("logsvc.sign_us");
-  // Paged reads: distinct tile pages one proof touched — the out-of-core
-  // path's cost model (log-linear so 2-page and 200-page proofs separate).
+  // Read path: one sample per proof served. proof_page_fetches counts the
+  // tile-cache pages one proof fetched (0 when every tile it touched was
+  // resident) — the out-of-core path's cost model, log-linear so 2-page
+  // and 200-page proofs separate.
+  obs::LogLinearHistogram& inclusion_proof_us =
+      obs::Registry::global().latency("logsvc.inclusion_proof_us");
+  obs::LogLinearHistogram& consistency_proof_us =
+      obs::Registry::global().latency("logsvc.consistency_proof_us");
   obs::LogLinearHistogram& proof_page_fetches =
       obs::Registry::global().latency("storage.proof_page_fetches");
 };
@@ -69,6 +75,21 @@ ct::LogEntry to_record(storage::DurableEntry durable, bool keep_body) {
 /// re-streaming the checkpointed prefix into memory (legacy mode).
 constexpr std::uint64_t kAdoptWindow = 4096;
 
+/// One store per upper tile level a tree of `leaf_capacity` leaves can
+/// reach: level L holds at most leaf_capacity / 256^L entries, one tile
+/// per chunk.
+std::vector<std::unique_ptr<AppendOnlyStore<crypto::Digest>>> make_upper_levels(
+    std::uint64_t leaf_capacity) {
+  std::vector<std::unique_ptr<AppendOnlyStore<crypto::Digest>>> levels;
+  for (unsigned level = 1; (leaf_capacity >> (ct::kTileHeight * level)) > 0; ++level) {
+    const std::uint64_t tiles =
+        std::max<std::uint64_t>(1, leaf_capacity >> (ct::kTileHeight * (level + 1)));
+    levels.push_back(std::make_unique<AppendOnlyStore<crypto::Digest>>(
+        ct::kTileHeight, static_cast<std::size_t>(tiles)));
+  }
+  return levels;
+}
+
 }  // namespace
 
 LogService::LogService(Config config)
@@ -76,6 +97,7 @@ LogService::LogService(Config config)
       signer_(crypto::make_signer("ct-log/" + config_.name, config_.scheme)),
       log_id_(signer_->key_id()),
       queue_(config_.queue_capacity),
+      upper_(make_upper_levels(leaves_.capacity())),
       fanout_(config_.fanout_buffer) {
   if (config_.storage != nullptr) adopt_storage();
   if (snapshot_ == nullptr) {
@@ -124,25 +146,33 @@ void LogService::adopt_storage() {
   if (paged + tail.size() != sth.tree_size) {
     throw std::runtime_error("logsvc: recovered entries do not match the recovered STH");
   }
-  // Paged mode adopts only the WAL tail; everything checkpointed stays on
-  // disk and the read path pages it in. Legacy mode re-streams the whole
-  // tree into memory, windowed so adoption itself is O(window) not O(n).
-  if (config_.paged_reads) resident_base_ = paged;
+  // Paged mode adopts only the WAL tail (plus the leaf hashes of the
+  // checkpoint's partial last tile, which the store keeps resident);
+  // everything checkpointed stays on disk and the read path pages it in.
+  // Legacy mode re-streams the whole tree into memory, windowed so
+  // adoption itself is O(window) not O(n).
+  if (config_.paged_reads) {
+    resident_base_ = paged;
+    leaf_base_ = paged / ct::kTileWidth * ct::kTileWidth;
+  }
   const std::uint64_t resident = sth.tree_size - resident_base_;
-  if (resident > leaves_.capacity() || resident > entries_.capacity()) {
+  if (sth.tree_size - leaf_base_ > leaves_.capacity() || resident > entries_.capacity() ||
+      store.tile_levels().levels.size() > upper_.size()) {
     throw std::runtime_error("logsvc: recovered tree exceeds the in-memory store capacity");
   }
+  for (std::uint64_t i = leaf_base_; i < resident_base_; ++i) {
+    (void)leaves_.append(store.tail_leaf(i));
+  }
   const auto adopt_one = [this](storage::DurableEntry& durable) {
-    if (leaves_.append(durable.leaf_hash) != PushResult::ok) {
-      throw std::runtime_error("logsvc: leaf store refused a recovered entry");
+    const crypto::Digest leaf = durable.leaf_hash;
+    const crypto::Digest fingerprint = durable.fingerprint;
+    const std::uint64_t index = durable.index;
+    if (leaves_.append(leaf) != PushResult::ok ||
+        entries_.append(to_record(std::move(durable), config_.store_bodies)) != PushResult::ok) {
+      throw std::runtime_error("logsvc: in-memory store refused a recovered entry");
     }
-    leaf_index_.emplace(durable.leaf_hash, durable.index);
-    if (config_.dedup) {
-      dedup_.emplace(durable.fingerprint, DedupValue{durable.index, durable.timestamp_ms});
-    }
-    if (entries_.append(to_record(std::move(durable), config_.store_bodies)) != PushResult::ok) {
-      throw std::runtime_error("logsvc: entry store refused a recovered entry");
-    }
+    leaf_index_.insert(leaf, index - leaf_base_, leaf_at());
+    if (config_.dedup) dedup_.insert(fingerprint, index - resident_base_, fingerprint_at());
   };
   if (resident_base_ == 0) {
     std::vector<storage::DurableEntry> window;
@@ -157,6 +187,16 @@ void LogService::adopt_storage() {
     }
   }
   for (storage::DurableEntry& durable : tail) adopt_one(durable);
+  // The upper tile levels are the cascade the store built while
+  // recovering — copied, never re-folded from the adopted leaves.
+  const std::vector<std::vector<crypto::Digest>>& levels = store.tile_levels().levels;
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    if (levels[l].size() != sth.tree_size >> (ct::kTileHeight * (l + 1))) {
+      throw std::runtime_error("logsvc: recovered tile levels do not match the recovered STH");
+    }
+    for (const crypto::Digest& entry : levels[l]) (void)upper_[l]->append(entry);
+    upper_[l]->publish();
+  }
   leaves_.publish();
   entries_.publish();
   accumulator_ = store.accumulator();
@@ -292,36 +332,73 @@ std::shared_ptr<const TreeSnapshot> LogService::snapshot() const {
   return snapshot_;
 }
 
-storage::PagedLeafSource LogService::paged_source() const {
-  storage::LogStore& store = *config_.storage;
-  // The watermark is snapshotted here; a checkpoint racing the query only
-  // advances it (append-only Merkle: perfect subtrees never change, so a
-  // newer watermark still resolves every page an older tree needs). The
-  // resident stores cover everything the pages cannot — an index below
-  // resident_base_ reaching the tail fn means a page below the durable
-  // watermark failed to load, which is corruption, not a fallthrough.
-  return storage::PagedLeafSource(
-      store.tile_cache(), store.paged_leaves(), [this](std::uint64_t i) -> crypto::Digest {
-        if (i < resident_base_) {
-          throw std::runtime_error("logsvc: tile page unavailable for checkpointed leaf");
-        }
-        return leaves_.at(i - resident_base_);
-      });
-}
+/// The one tile source behind every proof, in both read modes. Level 0
+/// at or above leaf_base_ points straight into leaves_: leaf_base_ is
+/// tile-aligned and a tile-aligned run never straddles a 2^14-entry
+/// chunk. Below leaf_base_ (paged mode only) the store's tile cache
+/// serves level 0. Levels >= 1 come from the resident upper stores. The
+/// published size is snapshotted once; every subtree below it is
+/// immutable, so stale tree sizes prove against it too.
+class LogService::ProofSource final : public ct::TileSource {
+ public:
+  explicit ProofSource(const LogService& service)
+      : service_(service), size_(service.tree_size()) {
+    if (service.leaf_base_ > 0) {
+      paged_.emplace(service.config_.storage->tile_cache(), service.leaf_base_,
+                     [this](std::uint64_t index) { return leaf(index); });
+    }
+  }
+
+  [[nodiscard]] std::uint64_t paged_leaves() const override { return size_; }
+
+  bool entries(unsigned level, std::uint64_t first, std::uint64_t count,
+               ct::TilePageView& out) override {
+    if (level == 0) {
+      if (first + count > size_) return false;
+      if (first < service_.leaf_base_) return paged_->entries(0, first, count, out);
+      out.entries = &service_.leaves_.at(first - service_.leaf_base_);
+      out.count = count;
+      return true;
+    }
+    if (level > service_.upper_.size()) return false;
+    const AppendOnlyStore<crypto::Digest>& row = *service_.upper_[level - 1];
+    if (first + count > row.size()) return false;
+    out.entries = &row.at(first);
+    out.count = count;
+    return true;
+  }
+
+  crypto::Digest leaf(std::uint64_t index) override {
+    // Every resident leaf is served by entries(); an index below
+    // leaf_base_ lands here only when its tile page failed to load —
+    // corruption, not a fallthrough.
+    if (index < service_.leaf_base_) {
+      throw std::runtime_error("logsvc: tile page unavailable for checkpointed leaf");
+    }
+    return service_.leaves_.at(index - service_.leaf_base_);
+  }
+
+  /// Tile-cache pages this proof fetched: 0 when it ran fully resident.
+  [[nodiscard]] std::uint64_t page_fetches() const {
+    return paged_ ? paged_->page_fetches() : 0;
+  }
+
+ private:
+  const LogService& service_;
+  std::uint64_t size_;
+  std::optional<storage::PagedLeafSource> paged_;
+};
 
 std::vector<crypto::Digest> LogService::inclusion_proof(std::uint64_t index,
                                                         std::uint64_t tree_size) const {
   if (tree_size > this->tree_size() || index >= tree_size) {
     throw std::out_of_range("LogService::inclusion_proof: bad index/size");
   }
-  if (resident_base_ == 0) {
-    return ct::merkle_inclusion_path(
-        [this](std::uint64_t i) -> const crypto::Digest& { return leaves_.at(i); }, index,
-        tree_size);
-  }
-  storage::PagedLeafSource source = paged_source();
+  SvcMetrics& metrics = svc_metrics();
+  obs::ScopedTimer timer(metrics.inclusion_proof_us);
+  ProofSource source(*this);
   std::vector<crypto::Digest> path = ct::tiled_inclusion_path(source, index, tree_size);
-  svc_metrics().proof_page_fetches.observe(static_cast<double>(source.page_fetches()));
+  metrics.proof_page_fetches.observe(static_cast<double>(source.page_fetches()));
   return path;
 }
 
@@ -330,14 +407,11 @@ std::vector<crypto::Digest> LogService::consistency_proof(std::uint64_t old_size
   if (new_size > tree_size() || old_size > new_size) {
     throw std::out_of_range("LogService::consistency_proof: bad sizes");
   }
-  if (resident_base_ == 0) {
-    return ct::merkle_consistency_path(
-        [this](std::uint64_t i) -> const crypto::Digest& { return leaves_.at(i); }, old_size,
-        new_size);
-  }
-  storage::PagedLeafSource source = paged_source();
+  SvcMetrics& metrics = svc_metrics();
+  obs::ScopedTimer timer(metrics.consistency_proof_us);
+  ProofSource source(*this);
   std::vector<crypto::Digest> path = ct::tiled_consistency_path(source, old_size, new_size);
-  svc_metrics().proof_page_fetches.observe(static_cast<double>(source.page_fetches()));
+  metrics.proof_page_fetches.observe(static_cast<double>(source.page_fetches()));
   return path;
 }
 
@@ -345,7 +419,7 @@ crypto::Digest LogService::leaf_hash_at(std::uint64_t index) const {
   if (index >= tree_size()) {
     throw std::out_of_range("LogService::leaf_hash_at: beyond published size");
   }
-  if (index >= resident_base_) return leaves_.at(index - resident_base_);
+  if (index >= leaf_base_) return leaves_.at(index - leaf_base_);
   storage::TileCache::PagePtr page =
       config_.storage->tile_cache().get(0, index >> 8, (index & 255) + 1);
   if (page == nullptr) {
@@ -357,8 +431,9 @@ crypto::Digest LogService::leaf_hash_at(std::uint64_t index) const {
 std::optional<std::uint64_t> LogService::leaf_index_of(const crypto::Digest& leaf_hash) const {
   {
     std::lock_guard<std::mutex> lock(leaf_index_mu_);
-    const auto it = leaf_index_.find(leaf_hash);
-    if (it != leaf_index_.end()) return it->second;
+    if (const auto position = leaf_index_.find(leaf_hash, leaf_at())) {
+      return leaf_base_ + *position;
+    }
   }
   if (resident_base_ == 0) return std::nullopt;
   // Paged mode: the resident map only covers [resident_base_, size). The
@@ -499,6 +574,9 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
   std::vector<std::size_t> contingent;
   std::unordered_map<crypto::Digest, DedupValue, DigestHash> staged_dedup;
   ct::RootAccumulator probe = accumulator_;
+  // Upper tile entries the batch completes, from the accumulator's sink:
+  // applied with the leaves, only once the batch is durable.
+  ct::TileLevels new_upper;
 
   const auto seal_started = std::chrono::steady_clock::now();
   Bytes leaf_bytes;
@@ -532,8 +610,10 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
       // entries staged in THIS batch are contingent on the commit.
       const DedupValue* prior = nullptr;
       bool prior_in_batch = false;
-      if (const auto it = dedup_.find(pending.fingerprint); it != dedup_.end()) {
-        prior = &it->second;
+      DedupValue integrated;
+      if (const auto position = dedup_.find(pending.fingerprint, fingerprint_at())) {
+        integrated = {resident_base_ + *position, entries_.at(*position).timestamp_ms};
+        prior = &integrated;
       } else if (const auto it2 = staged_dedup.find(pending.fingerprint);
                  it2 != staged_dedup.end()) {
         prior = &it2->second;
@@ -591,7 +671,7 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
     event.issuer_cn = std::move(pending.issuer_cn);
     event.trace = entry_span.context();
 
-    probe.add(leaf);
+    probe.add(leaf, new_upper);
     new_leaves.push_back(leaf);
     new_records.push_back(std::move(record));
     events.push_back(std::move(event));
@@ -639,13 +719,21 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
       (void)leaves_.append(new_leaves[static_cast<std::size_t>(i)]);
       {
         std::lock_guard<std::mutex> lock(leaf_index_mu_);
-        leaf_index_.emplace(new_leaves[static_cast<std::size_t>(i)],
-                            accumulator_.size() + i);  // first occurrence wins
+        leaf_index_.insert(new_leaves[static_cast<std::size_t>(i)],
+                           accumulator_.size() + i - leaf_base_, leaf_at());
       }
       (void)entries_.append(std::move(new_records[static_cast<std::size_t>(i)]));
     }
-    for (auto& staged : staged_dedup) dedup_.insert(std::move(staged));
+    for (std::size_t l = 0; l < new_upper.levels.size(); ++l) {
+      for (const crypto::Digest& root : new_upper.levels[l]) (void)upper_[l]->append(root);
+    }
+    for (const auto& [fingerprint, value] : staged_dedup) {
+      dedup_.insert(fingerprint, value.index - resident_base_, fingerprint_at());
+    }
     accumulator_ = std::move(probe);
+    // Upper levels publish before the leaves: a reader that sees a leaf
+    // count sees every tile entry below it.
+    for (const auto& level : upper_) level->publish();
     leaves_.publish();
     entries_.publish();
     ++seal_seq_;

@@ -201,13 +201,12 @@ IoError LogStore::recover(std::string& detail) {
   };
 
   // 3. Cryptographic verification + cascade-state rebuild.
-  upper_pending_.assign(kMaxTileLevel + 2, {});
   upper_written_.assign(kMaxTileLevel + 2, 0);
   if (options_.recovery_verify == LogStoreOptions::Verify::full) {
-    // Stream every level-0 page once: fold all leaves into the
-    // accumulator, and push each full tile's root through the same
-    // cascade the writer runs, comparing against the persisted upper
-    // pages as they complete. O(page) memory, O(n) time.
+    // Stream every level-0 page once, folding all leaves into the
+    // accumulator. Its sink hands over every upper tile entry the merge
+    // completes; each upper page those entries fill must equal the
+    // persisted one. O(page) memory beyond the upper levels, O(n) time.
     for (std::uint64_t t = 0; t < tiles_needed; ++t) {
       const std::optional<TilePage> page = load_page(0, t);
       const std::uint64_t want =
@@ -216,20 +215,19 @@ IoError LogStore::recover(std::string& detail) {
         detail = "tile segment does not cover the checkpointed tree";
         return IoError::corrupt;
       }
-      for (std::uint64_t i = 0; i < want; ++i) accumulator_.add(page->leaves[i]);
-      if (want < kTileLeaves) continue;
-      crypto::Digest carry = ct::fold_perfect(page->leaves.data(), kTileLeaves);
-      for (unsigned level = 1;; ++level) {
-        upper_pending_[level].push_back(carry);
-        if (upper_pending_[level].size() < kTileLeaves) break;
-        const std::optional<TilePage> upper = load_page(level, upper_written_[level]);
-        if (!upper.has_value() || upper->leaves != upper_pending_[level]) {
-          detail = "upper tile page disagrees with the leaves below it";
-          return IoError::corrupt;
+      for (std::uint64_t i = 0; i < want; ++i) accumulator_.add(page->leaves[i], upper_);
+      for (unsigned level = 1; level <= upper_.levels.size(); ++level) {
+        const std::vector<crypto::Digest>& row = upper_.levels[level - 1];
+        for (std::uint64_t& tile = upper_written_[level]; (tile + 1) * kTileLeaves <= row.size();
+             ++tile) {
+          const std::optional<TilePage> upper = load_page(level, tile);
+          if (!upper.has_value() ||
+              !std::equal(upper->leaves.begin(), upper->leaves.end(),
+                          row.begin() + static_cast<std::ptrdiff_t>(tile * kTileLeaves))) {
+            detail = "upper tile page disagrees with the leaves below it";
+            return IoError::corrupt;
+          }
         }
-        carry = ct::fold_perfect(upper_pending_[level].data(), kTileLeaves);
-        upper_pending_[level].clear();
-        ++upper_written_[level];
       }
     }
     if (cp.has_value()) {
@@ -257,20 +255,29 @@ IoError LogStore::recover(std::string& detail) {
       detail = "checkpointed root hash does not match its frontier";
       return IoError::corrupt;
     }
-    // Rebuild the cascade's partial upper entries from the level below —
-    // at most 255 page folds per level.
+    // Rebuild the upper levels: full pages load as persisted (no
+    // hashing), and each level's partial entries fold from the level
+    // below — at most 255 page folds per level.
     for (unsigned level = 1; level <= kMaxTileLevel + 1; ++level) {
       const std::uint64_t entries_here = cp_tree_size >> (8 * level);
       if (entries_here == 0) break;
       const std::uint64_t full = entries_here >> 8;
       upper_written_[level] = full;
+      for (std::uint64_t t = 0; t < full; ++t) {
+        const std::optional<TilePage> page = load_page(level, t);
+        if (!page.has_value() || page->count != kTileLeaves) {
+          detail = "tile segment is missing upper-level pages";
+          return IoError::corrupt;
+        }
+        for (const crypto::Digest& entry : page->leaves) upper_(level, entry);
+      }
       for (std::uint64_t i = full * kTileLeaves; i < entries_here; ++i) {
         const std::optional<TilePage> below = load_page(level - 1, i);
         if (!below.has_value() || below->count != kTileLeaves) {
           detail = "tile segment does not cover the checkpointed tree";
           return IoError::corrupt;
         }
-        upper_pending_[level].push_back(ct::fold_perfect(below->leaves.data(), kTileLeaves));
+        upper_(level, ct::fold_perfect(below->leaves.data(), kTileLeaves));
       }
     }
   }
@@ -410,13 +417,13 @@ IoError LogStore::recover(std::string& detail) {
           detail = "durable seal references entries the wal does not hold";
           return IoError::corrupt;
         }
-        ct::RootAccumulator probe = accumulator_;
-        for (const DurableEntry& entry : batch) probe.add(entry.leaf_hash);
-        if (probe.root() != seal->sth.root_hash) {
+        // A mismatch fails the whole open, so the upper levels can take
+        // the sink's entries directly.
+        for (const DurableEntry& entry : batch) accumulator_.add(entry.leaf_hash, upper_);
+        if (accumulator_.root() != seal->sth.root_hash) {
           detail = "durable seal's root hash does not match its entries";
           return IoError::corrupt;
         }
-        accumulator_ = std::move(probe);
         for (DurableEntry& entry : batch) {
           tail_leaves_.push_back(entry.leaf_hash);
           last_timestamp_ms_ = std::max(last_timestamp_ms_, entry.timestamp_ms);
@@ -520,9 +527,10 @@ IoResult LogStore::commit_batch(const BatchCommit& batch) {
   // bug — surfacing it here keeps garbage out of the WAL.
   const std::uint64_t first = accumulator_.size();
   ct::RootAccumulator probe = accumulator_;
+  ct::TileLevels new_upper;  // the sink's entries, applied once durable
   for (std::size_t i = 0; i < batch.entries.size(); ++i) {
     if (batch.entries[i].index != first + i) return IoResult::fail(IoError::corrupt);
-    probe.add(batch.entries[i].leaf_hash);
+    probe.add(batch.entries[i].leaf_hash, new_upper);
   }
   if (batch.sth.tree_size != probe.size() || batch.sth.root_hash != probe.root()) {
     return IoResult::fail(IoError::corrupt);
@@ -557,6 +565,9 @@ IoResult LogStore::commit_batch(const BatchCommit& batch) {
     last_timestamp_ms_ = std::max(last_timestamp_ms_, entry.timestamp_ms);
   }
   accumulator_ = std::move(probe);
+  for (std::size_t l = 0; l < new_upper.levels.size(); ++l) {
+    for (const crypto::Digest& root : new_upper.levels[l]) upper_(static_cast<unsigned>(l + 1), root);
+  }
   sth_ = batch.sth;
   seal_seq_ = batch.seal_seq;
   last_timestamp_ms_ = std::max(last_timestamp_ms_, batch.sth.timestamp_ms);
@@ -574,25 +585,24 @@ IoResult LogStore::commit_batch(const BatchCommit& batch) {
   return IoResult::success();
 }
 
-IoResult LogStore::cascade_entry(unsigned level, const crypto::Digest& digest,
-                                 std::vector<PendingTile>& written, Bytes& page) {
-  crypto::Digest carry = digest;
-  for (unsigned current = level;; ++current) {
-    if (upper_pending_.size() <= current) upper_pending_.resize(current + 1);
-    if (upper_written_.size() <= current) upper_written_.resize(current + 1, 0);
-    upper_pending_[current].push_back(carry);
-    if (upper_pending_[current].size() < kTileLeaves) return IoResult::success();
-    const std::uint64_t tile = upper_written_[current];
+IoResult LogStore::write_upper_pages(std::uint64_t leaves, std::vector<PendingTile>& written,
+                                     Bytes& page) {
+  const unsigned levels = std::min<unsigned>(static_cast<unsigned>(upper_.levels.size()),
+                                             kMaxTileLevel);
+  for (unsigned level = 1; level <= levels; ++level) {
+    const std::uint64_t tile = upper_written_[level];
+    // Page `tile` of `level` covers leaves up to (tile + 1) * 256^(level + 1).
+    if ((tile + 1) << (8 * (level + 1)) > leaves) break;
     page.clear();
-    encode_tile_page(page, tile, upper_pending_[current].data(), kTileLeaves, current);
+    encode_tile_page(page, tile, upper_.levels[level - 1].data() + tile * kTileLeaves,
+                     kTileLeaves, level);
     const std::uint64_t at = tiles_->size();
     const IoResult io = tiles_->append(page);
     if (!io.ok()) return io;
-    written.push_back(PendingTile{current, tile, at, static_cast<std::uint32_t>(kTileLeaves)});
-    carry = ct::fold_perfect(upper_pending_[current].data(), kTileLeaves);
-    upper_pending_[current].clear();
-    ++upper_written_[current];
+    written.push_back(PendingTile{level, tile, at, static_cast<std::uint32_t>(kTileLeaves)});
+    ++upper_written_[level];
   }
+  return IoResult::success();
 }
 
 IoResult LogStore::write_dirty_tiles(std::vector<PendingTile>& written) {
@@ -611,10 +621,10 @@ IoResult LogStore::write_dirty_tiles(std::vector<PendingTile>& written) {
     if (!io.ok()) return io;
     written.push_back(PendingTile{0, t, at, static_cast<std::uint32_t>(count)});
     if (count == kTileLeaves) {
-      // The tile just became full: its root enters the upper cascade
-      // (each full tile cascades exactly once across the store's life).
-      const IoResult cascaded = cascade_entry(1, ct::fold_perfect(src, kTileLeaves), written, page);
-      if (!cascaded.ok()) return cascaded;
+      // The tile just became full: any upper page it completes follows it
+      // (each page is written exactly once across the store's life).
+      const IoResult upper = write_upper_pages(begin + kTileLeaves, written, page);
+      if (!upper.ok()) return upper;
     }
   }
   return IoResult::success();

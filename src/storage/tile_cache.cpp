@@ -181,18 +181,20 @@ TileCache::PagePtr TileCache::get(unsigned level, std::uint64_t tile, std::uint6
   return pin(page);
 }
 
-bool PagedLeafSource::page(unsigned level, std::uint64_t tile, std::uint64_t min_count,
-                           ct::TilePageView& out) {
+bool PagedLeafSource::entries(unsigned level, std::uint64_t first, std::uint64_t count,
+                              ct::TilePageView& out) {
+  const std::uint64_t tile = first / kTileLeaves;
+  const std::uint64_t offset = first % kTileLeaves;
   const std::uint64_t key = cache_key(level, tile);
   auto it = held_.find(key);
-  if (it == held_.end() || it->second->count < min_count) {
-    TileCache::PagePtr fetched = cache_.get(level, tile, min_count);
+  if (it == held_.end() || it->second->count < offset + count) {
+    TileCache::PagePtr fetched = cache_.get(level, tile, offset + count);
     if (!fetched) return false;
     ++fetches_;
     it = held_.insert_or_assign(key, std::move(fetched)).first;
   }
-  out.entries = it->second->leaves.data();
-  out.count = it->second->count;
+  out.entries = it->second->leaves.data() + offset;
+  out.count = count;
   return true;
 }
 

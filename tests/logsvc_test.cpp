@@ -1,19 +1,24 @@
 // ctwatch::logsvc — service-level behaviour: asynchronous SCT delivery,
 // batching under the merge delay, dedup semantics, backpressure, snapshot
 // reads (including stale heads), streaming fanout loss accounting, graceful
-// shutdown, and a multi-threaded smoke test that is the ThreadSanitizer
-// target for the whole subsystem.
+// shutdown, a multi-threaded smoke test that is the ThreadSanitizer
+// target for the whole subsystem, and proof parity of every read mode
+// against the merkle_* reference recursion.
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <future>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ctwatch/ct/merkle.hpp"
 #include "ctwatch/logsvc/logsvc.hpp"
 #include "ctwatch/obs/obs.hpp"
 #include "ctwatch/sim/ca.hpp"
@@ -489,6 +494,24 @@ TEST(AppendOnlyStoreTest, CapacityExhaustionIsTypedAndNonDestructive) {
   for (std::uint64_t i = 0; i < 16; ++i) EXPECT_EQ(store.at(i), i);
 }
 
+// The hash index over a store keeps positions only and reads keys back
+// from the store: the first occurrence of a key wins, misses stay misses,
+// and every key survives the table's growth.
+TEST(DigestIndexTest, FirstOccurrenceWinsThroughGrowth) {
+  std::vector<crypto::Digest> keys;
+  for (std::uint64_t i = 0; i < 5000; ++i) keys.push_back(fingerprint_of(i % 3000));
+  const auto key_of = [&keys](std::uint64_t position) -> const crypto::Digest& {
+    return keys[static_cast<std::size_t>(position)];
+  };
+  DigestIndex index;
+  EXPECT_EQ(index.find(keys[0], key_of), std::nullopt);
+  for (std::uint64_t i = 0; i < keys.size(); ++i) index.insert(keys[i], i, key_of);
+  for (std::uint64_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(index.find(keys[i], key_of), i % 3000) << "key " << i;
+  }
+  EXPECT_EQ(index.find(fingerprint_of(3000), key_of), std::nullopt);
+}
+
 // One submission's causal span tree: the submit span (caller thread), the
 // sequencer's per-entry span, and the fanout dispatch span (dispatcher
 // thread) share one trace id and chain parent -> child across all three
@@ -582,6 +605,346 @@ TEST(LogServiceTest, StageLatencyHistogramsObserveTraffic) {
   EXPECT_GE(merge_delay.count(), merge_delay_before + 1);
   EXPECT_GE(sign.count(), sign_before + 3);
   EXPECT_GE(dispatch.count(), dispatch_before + 3);
+}
+
+// Every proof a monitor asks for is timed and its tile-cache cost is
+// recorded: one sample per proof in each histogram, page fetches 0 when
+// the proof ran fully resident.
+TEST(LogServiceTest, ProofHistogramsCountEveryProofServed) {
+  obs::Registry& registry = obs::Registry::global();
+  obs::LogLinearHistogram& inclusion = registry.latency("logsvc.inclusion_proof_us");
+  obs::LogLinearHistogram& consistency = registry.latency("logsvc.consistency_proof_us");
+  obs::LogLinearHistogram& fetches = registry.latency("storage.proof_page_fetches");
+  LogService service(fast_config("Svc Proof Metrics"));
+  for (std::uint64_t n = 0; n < 3; ++n) {
+    ASSERT_EQ(submit_wait(service, 2000 + n, kNow).status, ct::SubmitStatus::ok);
+  }
+  const std::uint64_t inclusion_before = inclusion.count();
+  const std::uint64_t consistency_before = consistency.count();
+  const std::uint64_t fetches_before = fetches.count();
+  const double fetched_before = fetches.sum();
+  (void)service.inclusion_proof(1, 3);
+  (void)service.inclusion_proof(0, 2);
+  (void)service.consistency_proof(1, 3);
+  EXPECT_EQ(inclusion.count(), inclusion_before + 2);
+  EXPECT_EQ(consistency.count(), consistency_before + 1);
+  EXPECT_EQ(fetches.count(), fetches_before + 3);
+  EXPECT_EQ(fetches.sum(), fetched_before);  // all resident: no page fetched
+  service.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Proof parity: every read mode, byte-for-byte against the merkle_* oracle
+// ---------------------------------------------------------------------------
+
+/// A throwaway storage directory, removed on scope exit.
+struct TempDir {
+  std::string path;
+  explicit TempDir(const std::string& tag) {
+    std::string tmpl = "ctwatch_" + tag + ".XXXXXX";
+    path = ::mkdtemp(tmpl.data());
+    EXPECT_FALSE(path.empty());
+  }
+  ~TempDir() { std::filesystem::remove_all(path); }
+};
+
+/// The batch shapes the parity tests seal: both neighbours of a tile
+/// boundary, the boundary itself, and a batch that spans several tiles.
+constexpr std::uint64_t kBatchShapes[] = {1, 7, 255, 256, 257, 1000};
+
+/// What the parity tests know independently of the service: the leaf
+/// hash of every submission, and every head the service published.
+struct History {
+  std::vector<crypto::Digest> leaves;
+  std::vector<ct::SignedTreeHead> heads;
+  std::uint64_t next_ordinal = 0;
+};
+
+/// Seals `count` fresh submissions as ONE batch (the sequencer is paused
+/// while they queue, so its next drain takes them all) and waits for
+/// every completion. Returns how many integrated; records their leaves
+/// and the new head in `history`.
+std::uint64_t seal_batch_of(LogService& service, std::uint64_t count, History& history) {
+  struct Waiter {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::uint64_t done = 0;
+    std::uint64_t ok = 0;
+  };
+  auto waiter = std::make_shared<Waiter>();
+  const std::uint64_t first = history.next_ordinal;
+  service.pause_sequencer_for_test();
+  std::uint64_t queued = 0;
+  for (std::uint64_t n = first; n < first + count; ++n) {
+    const ct::SubmitStatus status =
+        service.submit(entry_of(n), fingerprint_of(n), "Parity CA", kNow,
+                       [waiter](const ct::SubmitResult& outcome) {
+                         std::lock_guard<std::mutex> lock(waiter->mu);
+                         ++waiter->done;
+                         if (outcome.status == ct::SubmitStatus::ok) ++waiter->ok;
+                         waiter->cv.notify_all();
+                       });
+    if (status == ct::SubmitStatus::ok) ++queued;
+  }
+  service.resume_sequencer_for_test();
+  std::unique_lock<std::mutex> lock(waiter->mu);
+  waiter->cv.wait(lock, [&] { return waiter->done == queued; });
+  EXPECT_EQ(queued, count);
+  history.next_ordinal += count;
+  if (waiter->ok == count) {
+    for (std::uint64_t n = first; n < first + count; ++n) {
+      history.leaves.push_back(ct::leaf_hash(
+          ct::merkle_leaf_bytes(static_cast<std::uint64_t>(kNow.unix_seconds()) * 1000,
+                                entry_of(n))));
+    }
+    history.heads.push_back(service.get_sth());
+    EXPECT_EQ(history.heads.back().tree_size, history.leaves.size());
+  }
+  return waiter->ok;
+}
+
+/// Grows the log through every batch shape (crossing 256), then in bulk
+/// to just below 65,536, then through the shapes again (crossing 65,536,
+/// where the first level-2 tile entry completes).
+void grow_across_tile_levels(LogService& service, History& history) {
+  for (const std::uint64_t shape : kBatchShapes) seal_batch_of(service, shape, history);
+  while (history.leaves.size() + 1000 < 65536) {
+    seal_batch_of(service, std::min<std::uint64_t>(4096, 65536 - 1000 - history.leaves.size()),
+                  history);
+  }
+  for (const std::uint64_t shape : kBatchShapes) seal_batch_of(service, shape, history);
+  ASSERT_GT(history.leaves.size(), 65536u);
+}
+
+/// Checks `service`'s proofs against every head in `history`: each
+/// consistency proof between consecutive heads and from every head to
+/// the latest verifies against the signed roots, and a sampled inclusion
+/// proof at every (stale) size verifies. Sampled proofs at the small
+/// heads and at the latest one are also compared byte-for-byte with the
+/// O(n) merkle_* oracle. `extra_indices` are leaf indices worth proving
+/// at each of those heads (e.g. a paged boundary).
+void expect_proof_parity(const LogService& service, const History& history,
+                         std::vector<std::uint64_t> extra_indices = {}) {
+  const auto leaf_fn = [&](std::uint64_t i) -> const crypto::Digest& {
+    return history.leaves[static_cast<std::size_t>(i)];
+  };
+  ASSERT_FALSE(history.heads.empty());
+  const ct::SignedTreeHead& latest = history.heads.back();
+  ASSERT_EQ(service.tree_size(), latest.tree_size);
+  EXPECT_EQ(latest.root_hash, ct::merkle_root_of(leaf_fn, latest.tree_size));
+  Rng rng(history.heads.size());
+  for (std::size_t h = 0; h < history.heads.size(); ++h) {
+    const ct::SignedTreeHead& head = history.heads[h];
+    const std::uint64_t n = head.tree_size;
+    // Cheap checks at every head: the proofs verify against signed roots.
+    if (h > 0) {
+      const ct::SignedTreeHead& prev = history.heads[h - 1];
+      EXPECT_TRUE(ct::verify_consistency(prev.tree_size, n, prev.root_hash, head.root_hash,
+                                         service.consistency_proof(prev.tree_size, n)))
+          << prev.tree_size << " -> " << n;
+    }
+    EXPECT_TRUE(ct::verify_consistency(n, latest.tree_size, head.root_hash, latest.root_hash,
+                                       service.consistency_proof(n, latest.tree_size)))
+        << n << " -> " << latest.tree_size;
+    const std::uint64_t index = rng() % n;
+    EXPECT_TRUE(ct::verify_inclusion(history.leaves[static_cast<std::size_t>(index)], index, n,
+                                     service.inclusion_proof(index, n), head.root_hash))
+        << "index " << index << " at " << n;
+    // Byte parity with the oracle at the small heads and the latest.
+    if (n > 2048 && h + 1 < history.heads.size()) continue;
+    std::vector<std::uint64_t> indices{n - 1, rng() % n};
+    for (const std::uint64_t i : extra_indices) {
+      if (i < n) indices.push_back(i);
+    }
+    for (const std::uint64_t i : indices) {
+      EXPECT_EQ(service.inclusion_proof(i, n), ct::merkle_inclusion_path(leaf_fn, i, n))
+          << "index " << i << " at " << n;
+    }
+    if (h > 0) {
+      const std::uint64_t prev = history.heads[h - 1].tree_size;
+      EXPECT_EQ(service.consistency_proof(prev, n), ct::merkle_consistency_path(leaf_fn, prev, n))
+          << prev << " -> " << n;
+    }
+    const std::uint64_t old_size = 1 + rng() % n;
+    EXPECT_EQ(service.consistency_proof(old_size, n),
+              ct::merkle_consistency_path(leaf_fn, old_size, n))
+        << old_size << " -> " << n;
+  }
+}
+
+TEST(LogServiceProofParityTest, MemoryOnlyServiceMatchesOracle) {
+  LogService service(fast_config("Svc Parity Memory"));
+  History history;
+  grow_across_tile_levels(service, history);
+  expect_proof_parity(service, history);
+  service.stop();
+}
+
+storage::LogStoreOptions parity_store_options(const std::string& dir) {
+  storage::LogStoreOptions options;
+  options.dir = dir;
+  options.checkpoint_interval_batches = 8;  // pages on disk AND a WAL tail
+  return options;
+}
+
+TEST(LogServiceProofParityTest, AdoptedAfterCrashMatchesOracleUnderBothVerifyModes) {
+  TempDir dir("parity_adopt");
+  History history;
+  {
+    storage::LogStore::Open open = storage::LogStore::open(parity_store_options(dir.path));
+    ASSERT_NE(open.store, nullptr) << open.detail;
+    Config config = fast_config("Svc Parity Adopt");
+    config.storage = open.store.get();
+    LogService service(config);
+    grow_across_tile_levels(service, history);
+    open.store->env().crash_now();  // no shutdown checkpoint: recovery replays the WAL
+    service.stop();
+  }
+  for (const auto verify :
+       {storage::LogStoreOptions::Verify::full, storage::LogStoreOptions::Verify::structural}) {
+    storage::LogStoreOptions options = parity_store_options(dir.path);
+    options.recovery_verify = verify;
+    storage::LogStore::Open open = storage::LogStore::open(options);
+    ASSERT_NE(open.store, nullptr) << open.detail;
+    EXPECT_GT(open.store->recovery().replayed_batches, 0u);
+    Config config = fast_config("Svc Parity Adopt");
+    config.storage = open.store.get();
+    LogService service(config);
+    // Adoption republishes the last head, and the seeded upper levels
+    // keep growing through the sink; every head before and after the
+    // crash stays provable.
+    EXPECT_EQ(service.get_sth(), history.heads.back());
+    seal_batch_of(service, 257, history);
+    seal_batch_of(service, 1000, history);
+    expect_proof_parity(service, history);
+    open.store->env().crash_now();
+    service.stop();
+  }
+}
+
+TEST(LogServiceProofParityTest, PagedReadsMatchOracleAcrossTheResidentBoundary) {
+  TempDir dir("parity_paged");
+  History history;
+  {
+    storage::LogStoreOptions options = parity_store_options(dir.path);
+    options.checkpoint_interval_batches = 0;
+    storage::LogStore::Open open = storage::LogStore::open(options);
+    ASSERT_NE(open.store, nullptr) << open.detail;
+    Config config = fast_config("Svc Parity Paged");
+    config.storage = open.store.get();
+    LogService service(config);
+    grow_across_tile_levels(service, history);
+    service.stop();  // checkpoints at a size that is not a tile multiple
+  }
+  const std::uint64_t checkpointed = history.leaves.size();
+  ASSERT_NE(checkpointed % 256, 0u);
+  {
+    // A WAL tail past the checkpoint, left by a crash.
+    storage::LogStoreOptions options = parity_store_options(dir.path);
+    options.checkpoint_interval_batches = 0;
+    storage::LogStore::Open open = storage::LogStore::open(options);
+    ASSERT_NE(open.store, nullptr) << open.detail;
+    Config config = fast_config("Svc Parity Paged");
+    config.storage = open.store.get();
+    LogService service(config);
+    seal_batch_of(service, 257, history);
+    seal_batch_of(service, 7, history);
+    open.store->env().crash_now();
+    service.stop();
+  }
+  storage::LogStoreOptions options = parity_store_options(dir.path);
+  options.checkpoint_interval_batches = 0;
+  storage::LogStore::Open open = storage::LogStore::open(options);
+  ASSERT_NE(open.store, nullptr) << open.detail;
+  Config config = fast_config("Svc Parity Paged");
+  config.storage = open.store.get();
+  config.paged_reads = true;
+  LogService service(config);
+  ASSERT_EQ(service.resident_base(), checkpointed);
+  const std::uint64_t tile_floor = checkpointed / 256 * 256;
+  const std::vector<std::uint64_t> boundary{tile_floor - 1, tile_floor, checkpointed - 1,
+                                            checkpointed, checkpointed + 1};
+  EXPECT_EQ(service.get_sth(), history.heads.back());
+  for (const std::uint64_t shape : kBatchShapes) seal_batch_of(service, shape, history);
+  expect_proof_parity(service, history, boundary);
+  for (const std::uint64_t i : boundary) {
+    EXPECT_EQ(service.leaf_hash_at(i), history.leaves[static_cast<std::size_t>(i)]);
+  }
+  open.store->env().crash_now();
+  service.stop();
+}
+
+TEST(LogServiceProofParityTest, RefusedCommitLeavesProofsAtTheLastDurableHead) {
+  TempDir dir("parity_refused");
+  chaos::FaultInjector chaos(23);
+  chaos::FaultPlan plan;
+  plan.outages = {{8, 9}};  // the fifth batch's WAL append (each batch: append + fsync)
+  plan.outage_kind = chaos::FaultKind::error;
+  chaos.plan("storage.write", plan);
+  storage::LogStoreOptions options = parity_store_options(dir.path);
+  options.chaos = &chaos;
+  options.checkpoint_interval_batches = 0;
+  storage::LogStore::Open open = storage::LogStore::open(options);
+  ASSERT_NE(open.store, nullptr) << open.detail;
+  Config config = fast_config("Svc Parity Refused");
+  config.storage = open.store.get();
+  LogService service(config);
+  History history;
+  for (const std::uint64_t shape : {1, 7, 255, 256}) {
+    ASSERT_EQ(seal_batch_of(service, shape, history), shape);
+  }
+  // The refused batch would have completed a tile (519 -> 776 crosses
+  // 768); fail-stop refuses the one after it too.
+  EXPECT_EQ(seal_batch_of(service, 257, history), 0u);
+  EXPECT_EQ(seal_batch_of(service, 1000, history), 0u);
+  EXPECT_EQ(service.storage_failures(), 2u);
+  EXPECT_EQ(service.get_sth(), history.heads.back());
+  expect_proof_parity(service, history);
+  service.stop();
+}
+
+// TSAN target: readers prove against whatever head is current while the
+// sequencer seals batches of every shape, publishing leaves and upper
+// tile entries underneath them.
+TEST(LogServiceProofParityTest, ReadersProveConcurrentlyWithSealing) {
+  Config config = fast_config("Svc Parity Concurrent");
+  LogService service(config);
+  std::atomic<bool> writer_done{false};
+  std::atomic<std::uint64_t> failures{0};
+  std::atomic<std::uint64_t> proofs{0};
+  std::vector<std::thread> readers;
+  for (unsigned t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(0x9a41ULL + t);
+      ct::SignedTreeHead seen = service.get_sth();
+      while (!writer_done.load(std::memory_order_acquire)) {
+        const ct::SignedTreeHead sth = service.get_sth();
+        if (sth.tree_size == 0) continue;
+        const std::uint64_t index = rng() % sth.tree_size;
+        if (!ct::verify_inclusion(service.leaf_hash_at(index), index, sth.tree_size,
+                                  service.inclusion_proof(index, sth.tree_size), sth.root_hash)) {
+          failures.fetch_add(1);
+        }
+        if (seen.tree_size > 0 &&
+            !ct::verify_consistency(seen.tree_size, sth.tree_size, seen.root_hash, sth.root_hash,
+                                    service.consistency_proof(seen.tree_size, sth.tree_size))) {
+          failures.fetch_add(1);
+        }
+        seen = sth;
+        proofs.fetch_add(1);
+      }
+    });
+  }
+  History history;
+  for (int round = 0; round < 3; ++round) {
+    for (const std::uint64_t shape : kBatchShapes) seal_batch_of(service, shape, history);
+  }
+  writer_done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  service.stop();
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_GT(proofs.load(), 0u);
+  expect_proof_parity(service, history);
 }
 
 }  // namespace

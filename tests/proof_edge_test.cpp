@@ -1,6 +1,7 @@
 // Edge cases for Merkle proof math and the log auditor: empty trees,
-// single leaves, degenerate consistency, stale tree-head snapshots, and
-// the RootAccumulator / bulk-append paths the logsvc sequencer relies on.
+// single leaves, degenerate consistency, stale tree-head snapshots, the
+// RootAccumulator / bulk-append paths the logsvc sequencer relies on, and
+// MerkleTree's tiled proofs against the merkle_* reference recursion.
 #include <gtest/gtest.h>
 
 #include "ctwatch/ct/auditor.hpp"
@@ -131,6 +132,63 @@ TEST(ProofEdgeTest, AppendBatchEquivalentToSequentialAppend) {
   EXPECT_EQ(bulk.root(), sequential.root());
   EXPECT_EQ(bulk.inclusion_proof(17, 33), sequential.inclusion_proof(17, 33));
   EXPECT_EQ(bulk.append_batch({}), 33u);  // empty batch: no-op, returns next index
+}
+
+// --- MerkleTree's tiled proofs against the merkle_* oracle ---
+
+TEST(ProofEdgeTest, MerkleTreeMatchesOracleAtEverySizeTo1100) {
+  std::vector<Digest> leaves;
+  std::vector<Digest> roots{empty_tree_root()};  // oracle root at every size
+  const auto leaf_fn = [&](std::uint64_t i) -> const Digest& {
+    return leaves[static_cast<std::size_t>(i)];
+  };
+  MerkleTree tree;
+  for (std::uint64_t n = 1; n <= 1100; ++n) {
+    leaves.push_back(leaf_of("t" + std::to_string(n)));
+    tree.append(leaves.back());
+    roots.push_back(merkle_root_of(leaf_fn, n));
+    ASSERT_EQ(tree.root(), roots[n]) << "size " << n;
+    // Strides coprime to 256 walk the probes across every tile offset.
+    const std::uint64_t index = (n * 37) % n;
+    const std::uint64_t old_size = 1 + (n * 101) % n;
+    ASSERT_EQ(tree.root_at(old_size), roots[old_size]) << old_size << " of " << n;
+    ASSERT_EQ(tree.inclusion_proof(index, n), merkle_inclusion_path(leaf_fn, index, n))
+        << "index " << index << " at " << n;
+    ASSERT_EQ(tree.consistency_proof(old_size, n), merkle_consistency_path(leaf_fn, old_size, n))
+        << old_size << " -> " << n;
+    if (n % 50 == 0) {
+      // A stale size, proven while the tree is larger.
+      ASSERT_EQ(tree.inclusion_proof(index % old_size, old_size),
+                merkle_inclusion_path(leaf_fn, index % old_size, old_size))
+          << "index " << index % old_size << " at stale " << old_size;
+    }
+  }
+}
+
+TEST(ProofEdgeTest, MerkleTreeMatchesOracleAcrossTheSecondTileLevel) {
+  // 65,537 leaves: one complete level-2 entry plus one leaf past it.
+  constexpr std::uint64_t n = 65537;
+  std::vector<Digest> leaves;
+  MerkleTree tree;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    leaves.push_back(leaf_of(std::to_string(i) + "-u"));
+    tree.append(leaves.back());
+  }
+  const auto leaf_fn = [&](std::uint64_t i) -> const Digest& {
+    return leaves[static_cast<std::size_t>(i)];
+  };
+  for (const std::uint64_t size : {std::uint64_t{65535}, std::uint64_t{65536}, n}) {
+    EXPECT_EQ(tree.root_at(size), merkle_root_of(leaf_fn, size)) << "size " << size;
+  }
+  for (const std::uint64_t index : {0, 255, 256, 40000, 65535, 65536}) {
+    EXPECT_EQ(tree.inclusion_proof(index, n), merkle_inclusion_path(leaf_fn, index, n))
+        << "index " << index;
+  }
+  EXPECT_EQ(tree.inclusion_proof(300, 65536), merkle_inclusion_path(leaf_fn, 300, 65536));
+  for (const std::uint64_t old_size : {1, 256, 257, 32768, 65535, 65536}) {
+    EXPECT_EQ(tree.consistency_proof(old_size, n), merkle_consistency_path(leaf_fn, old_size, n))
+        << old_size << " -> " << n;
+  }
 }
 
 // --- auditor edge cases ---

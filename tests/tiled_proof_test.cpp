@@ -1,12 +1,16 @@
 // Differential parity: the tile-addressed proof math (ct/tiled.hpp) must
-// be byte-identical to the resident RFC 6962 recursion (ct/merkle.hpp)
+// be byte-identical to the RFC 6962 reference recursion (ct/merkle.hpp)
 // for every tree size, watermark position, and page-availability shape —
 // including trees that do not align to tile boundaries, proofs that
 // straddle the paged/resident boundary, and sources whose upper-level
-// pages are missing (forcing the recursion down to level 0).
+// pages are missing (forcing the recursion down to level 0). Also: the
+// accumulator's sink yields exactly the upper tile entries, and a proof
+// touches O(log n) tile entries.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "ctwatch/ct/merkle.hpp"
@@ -49,21 +53,21 @@ class FakeTileSource : public TileSource {
 
   [[nodiscard]] std::uint64_t paged_leaves() const override { return watermark_; }
 
-  bool page(unsigned level, std::uint64_t tile, std::uint64_t min_count,
-            TilePageView& out) override {
+  bool entries(unsigned level, std::uint64_t first, std::uint64_t count,
+               TilePageView& out) override {
     ++page_requests_;
     if (level >= levels_.size()) return false;
     if (level > 0 && drop_upper_) return false;
     const std::vector<Digest>& row = levels_[level];
-    const std::uint64_t first = tile * kTile;
-    if (first >= row.size()) return false;
-    const std::uint64_t avail = std::min(kTile, row.size() - first);
+    const std::uint64_t page_first = first / kTile * kTile;
+    if (page_first >= row.size()) return false;
+    const std::uint64_t avail = std::min(kTile, row.size() - page_first);
     // Upper pages are only ever durable when full — a partial upper page
     // does not exist on disk, so the math must descend instead.
     if (level > 0 && avail < kTile) return false;
-    if (avail < min_count) return false;
+    if (avail < first - page_first + count) return false;
     out.entries = row.data() + first;
-    out.count = avail;
+    out.count = count;
     return true;
   }
 
@@ -235,6 +239,130 @@ TEST(TiledProofTest, ProofsTouchLogarithmicallyManyPages) {
   (void)tiled_inclusion_path(source, 30000, n);
   EXPECT_LE(source.page_requests(), 40u);
   EXPECT_EQ(source.leaf_requests(), 0u);  // nothing resident: no tail reads
+}
+
+TEST(TiledProofTest, AccumulatorSinkYieldsEveryUpperTileEntry) {
+  // Past 256² so a level-2 entry completes, and not a tile multiple.
+  const std::uint64_t n = 65536 + 3 * kTile + 5;
+  const std::vector<Digest> leaves = make_leaves(n);
+  const auto leaf_fn = [&](std::uint64_t i) -> const Digest& {
+    return leaves[static_cast<std::size_t>(i)];
+  };
+
+  // Single appends: each entry arrives with the leaf that completes it.
+  TileLevels single;
+  RootAccumulator acc;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    acc.add(leaves[static_cast<std::size_t>(i)], single);
+    for (unsigned level = 1; level <= single.levels.size(); ++level) {
+      ASSERT_EQ(single.levels[level - 1].size(), (i + 1) >> (8 * level))
+          << "level " << level << " after leaf " << i;
+    }
+  }
+  ASSERT_EQ(single.levels.size(), 2u);
+  for (unsigned level = 1; level <= 2; ++level) {
+    const std::uint64_t width = std::uint64_t{1} << (8 * level);
+    const std::vector<Digest>& row = single.levels[level - 1];
+    for (std::uint64_t e = 0; e < row.size(); ++e) {
+      EXPECT_EQ(row[static_cast<std::size_t>(e)], merkle_range_root(leaf_fn, e * width,
+                                                                    (e + 1) * width))
+          << "level " << level << " entry " << e;
+    }
+  }
+
+  // Batch appends, staged on a probe copy and applied after (the
+  // sequencer's and LogStore::commit_batch's shape): the same entries,
+  // and the probe's root matches the oracle at every batch boundary.
+  TileLevels batched;
+  RootAccumulator committed;
+  const std::uint64_t shapes[] = {1, 7, 255, 256, 257, 1000, 4096};
+  for (std::uint64_t next = 0, s = 0; next < n; ++s) {
+    const std::uint64_t count = std::min(shapes[s % std::size(shapes)], n - next);
+    RootAccumulator probe = committed;
+    std::vector<std::pair<unsigned, Digest>> staged;
+    for (std::uint64_t i = next; i < next + count; ++i) {
+      probe.add(leaves[static_cast<std::size_t>(i)],
+                [&staged](unsigned level, const Digest& root) { staged.emplace_back(level, root); });
+    }
+    for (const auto& [level, root] : staged) batched(level, root);
+    committed = probe;
+    next += count;
+    if (next <= 2048 || next == n) {
+      EXPECT_EQ(committed.root(), merkle_root_of(leaf_fn, next)) << "size " << next;
+    }
+  }
+  EXPECT_EQ(batched.levels, single.levels);
+  EXPECT_EQ(committed.frontier(), acc.frontier());
+}
+
+/// Counts the tile entries (and fallback leaves) one proof reads.
+class CountingTileSource : public TileSource {
+ public:
+  explicit CountingTileSource(TileSource& inner) : inner_(inner) {}
+
+  [[nodiscard]] std::uint64_t paged_leaves() const override { return inner_.paged_leaves(); }
+  bool entries(unsigned level, std::uint64_t first, std::uint64_t count,
+               TilePageView& out) override {
+    if (!inner_.entries(level, first, count, out)) return false;
+    touched_ += count;
+    return true;
+  }
+  Digest leaf(std::uint64_t index) override {
+    ++touched_;
+    return inner_.leaf(index);
+  }
+
+  std::uint64_t take_touched() { return std::exchange(touched_, 0); }
+
+ private:
+  TileSource& inner_;
+  std::uint64_t touched_ = 0;
+};
+
+TEST(TiledProofTest, ProofsTouchLogarithmicallyManyEntries) {
+  // The deterministic O(log n) gate: a proof reads at most one run of at
+  // most 255 entries per tile level for its perfect siblings, and as much
+  // again for the one imperfect subtree on the right edge.
+  constexpr std::uint64_t kMax = 1000000;
+  std::vector<Digest> leaves(kMax);
+  for (std::uint64_t i = 0; i < kMax; ++i) {
+    for (unsigned b = 0; b < 8; ++b) leaves[i][b] = static_cast<std::uint8_t>(i >> (8 * b));
+  }
+  const std::vector<std::uint64_t> sizes{1000, 4097, 65537, 100003, 999999, kMax};
+  TileLevels upper;
+  RootAccumulator acc;
+  std::vector<Digest> roots;
+  for (const Digest& leaf : leaves) {
+    acc.add(leaf, upper);
+    if (std::find(sizes.begin(), sizes.end(), acc.size()) != sizes.end()) {
+      roots.push_back(acc.root());
+    }
+  }
+  ResidentTileSource resident(leaves, upper);
+  CountingTileSource source(resident);
+  std::mt19937_64 rng(0x10C);
+  for (std::size_t s = 0; s < sizes.size(); ++s) {
+    const std::uint64_t n = sizes[s];
+    unsigned tile_levels = 0;
+    while ((std::uint64_t{1} << (8 * tile_levels)) < n) ++tile_levels;
+    const std::uint64_t bound = 2 * 256 * tile_levels + 2 * std::bit_width(n - 1);
+    for (const std::uint64_t index : {std::uint64_t{0}, n / 3, n / 2, n - 1, rng() % n}) {
+      const std::vector<Digest> path = tiled_inclusion_path(source, index, n);
+      EXPECT_LE(source.take_touched(), bound) << "inclusion of " << index << " at " << n;
+      EXPECT_TRUE(verify_inclusion(leaves[static_cast<std::size_t>(index)], index, n, path,
+                                   roots[s]));
+    }
+    for (std::size_t o = 0; o < s; ++o) {
+      const std::vector<Digest> proof = tiled_consistency_path(source, sizes[o], n);
+      EXPECT_LE(source.take_touched(), bound) << "consistency " << sizes[o] << " -> " << n;
+      EXPECT_TRUE(verify_consistency(sizes[o], n, roots[o], roots[s], proof));
+    }
+    for (const std::uint64_t old_size : {std::uint64_t{1}, n / 2 + 1, n - 1, 1 + rng() % n}) {
+      (void)tiled_consistency_path(source, old_size, n);
+      EXPECT_LE(source.take_touched(), bound) << "consistency " << old_size << " -> " << n;
+    }
+    EXPECT_EQ(tiled_root(source, n), roots[s]);
+  }
 }
 
 }  // namespace
