@@ -1,11 +1,12 @@
 // ctwatch::par — the sharded parallel pipeline head-to-head with its own
 // serial path, parity enforced.
 //
-// Runs the three parallelized analysis stages (census build + Table 2
-// ranking, the §4.3 DNS-verification funnel, the phishing scan) once per
-// thread count: 1 (the compiled-down serial path), 2, and the machine
-// width. Every run must be byte-identical to the single-thread baseline —
-// rendered Table 2 rows, every funnel counter, every phishing finding —
+// Runs the four parallelized stages (census build + Table 2 ranking, the
+// §4.3 DNS-verification funnel, the phishing scan, the Fig 1 issuance
+// timeline) once per thread count: 1 (the compiled-down serial path), 2,
+// and the machine width. Every run must be byte-identical to the
+// single-thread baseline — rendered Table 2 rows, every funnel counter,
+// every phishing finding, every log's size, root and overload count —
 // or the binary exits nonzero. With --strict the census+funnel pair must
 // additionally reach a 3x combined speedup, gated only on machines with
 // >= 8 hardware threads and never under sanitizers (parity is always
@@ -21,6 +22,7 @@
 
 #include "ctwatch/par/par.hpp"
 #include "ctwatch/phishing/detector.hpp"
+#include "ctwatch/sim/timeline.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define CTWATCH_BENCH_SANITIZED 1
@@ -42,14 +44,26 @@ sim::DomainCorpus& corpus() {
   return corpus;
 }
 
+/// What a timeline run leaves in one log.
+struct LogDigest {
+  std::string name;
+  std::uint64_t tree_size = 0;
+  crypto::Digest root{};
+  std::uint64_t overload_rejections = 0;
+
+  friend bool operator==(const LogDigest&, const LogDigest&) = default;
+};
+
 struct PipelineRun {
   unsigned threads = 0;
   std::string table2;
   enumeration::FunnelResult funnel;
   std::vector<phishing::Finding> findings;
+  std::vector<LogDigest> logs;
   double census_seconds = 0;
   double funnel_seconds = 0;
   double phishing_seconds = 0;
+  double timeline_seconds = 0;
 };
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -90,6 +104,19 @@ PipelineRun run_pipeline(unsigned threads) {
   start = std::chrono::steady_clock::now();
   run.findings = detector.scan(corpus().ct_names());
   run.phishing_seconds = seconds_since(start);
+
+  // The 2013-2018 timeline at 1/20000 of real volume, into a fresh
+  // ecosystem per run.
+  sim::Ecosystem ecosystem;
+  sim::TimelineOptions timeline_options;
+  timeline_options.scale = 1.0 / 20000.0;
+  start = std::chrono::steady_clock::now();
+  sim::TimelineSimulator(ecosystem, timeline_options).run();
+  run.timeline_seconds = seconds_since(start);
+  for (const ct::CtLog* log : ecosystem.all_logs()) {
+    run.logs.push_back({log->name(), log->tree_size(), log->get_sth(SimTime{}).root_hash,
+                        log->overload_rejections()});
+  }
 
   par::TaskPool::set_global_threads(0);
   return run;
@@ -140,6 +167,10 @@ bool check_parity(const PipelineRun& run, const PipelineRun& baseline) {
                  run.threads);
     ok = false;
   }
+  if (run.logs != baseline.logs) {
+    std::fprintf(stderr, "PARITY MISMATCH at %u threads: timeline logs differ\n", run.threads);
+    ok = false;
+  }
   return ok;
 }
 
@@ -157,7 +188,7 @@ int main(int argc, char** argv) {
   }
 
   bench::banner("ctwatch::par — sharded parallel pipeline vs its serial path",
-                "census + funnel + phishing at 1/2/N threads; byte-identical or exit 1");
+                "census + funnel + phishing + timeline at 1/2/N threads; byte-identical or exit 1");
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   // Always run the 2-thread config, even on one core: oversubscription is
@@ -174,16 +205,22 @@ int main(int argc, char** argv) {
   for (std::size_t i = 1; i < runs.size(); ++i) parity &= check_parity(runs[i], baseline);
 
   for (const PipelineRun& run : runs) {
-    std::printf("%2u threads: census %7.1f ms   funnel %7.1f ms   phishing %7.1f ms\n",
-                run.threads, run.census_seconds * 1e3, run.funnel_seconds * 1e3,
-                run.phishing_seconds * 1e3);
+    std::printf(
+        "%2u threads: census %7.1f ms   funnel %7.1f ms   phishing %7.1f ms   timeline %7.1f ms\n",
+        run.threads, run.census_seconds * 1e3, run.funnel_seconds * 1e3,
+        run.phishing_seconds * 1e3, run.timeline_seconds * 1e3);
   }
   const double serial_core = baseline.census_seconds + baseline.funnel_seconds;
   const double widest_core = widest.census_seconds + widest.funnel_seconds;
   const double speedup = widest_core > 0 ? serial_core / widest_core : 0;
-  std::printf("census+funnel speedup at %u threads: %.2fx   parity: %s\n\n", widest.threads,
-              speedup, parity ? "ok" : "FAILED");
+  const double timeline_speedup =
+      widest.timeline_seconds > 0 ? baseline.timeline_seconds / widest.timeline_seconds : 0;
+  std::printf(
+      "census+funnel speedup at %u threads: %.2fx   timeline speedup: %.2fx   parity: %s\n\n",
+      widest.threads, speedup, timeline_speedup, parity ? "ok" : "FAILED");
 
+  std::uint64_t timeline_entries = 0;
+  for (const LogDigest& log : baseline.logs) timeline_entries += log.tree_size;
   bench::emit_result(
       "par_pipeline",
       bench::Json()
@@ -197,10 +234,14 @@ int main(int argc, char** argv) {
           .field("census_parallel_s", widest.census_seconds, 4)
           .field("funnel_parallel_s", widest.funnel_seconds, 4)
           .field("phishing_parallel_s", widest.phishing_seconds, 4)
+          .field("timeline_serial_s", baseline.timeline_seconds, 4)
+          .field("timeline_parallel_s", widest.timeline_seconds, 4)
           .field("speedup", speedup, 3)
+          .field("timeline_speedup", timeline_speedup, 3)
           .field("candidates", baseline.funnel.candidates)
           .field("confirmed", baseline.funnel.confirmed)
           .field("phishing_findings", static_cast<std::uint64_t>(baseline.findings.size()))
+          .field("timeline_entries", timeline_entries)
           .field("parity", parity));
 
   int violations = 0;

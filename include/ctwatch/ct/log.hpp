@@ -76,6 +76,32 @@ struct SubmitResult {
   std::optional<SignedCertificateTimestamp> sct;
 };
 
+/// A submission as every log sees it, derived from the certificate alone:
+/// the entry is encoded, fingerprinted and leaf-hashed once, however many
+/// logs it goes to. Building one touches no log state, so it may run on
+/// any thread; CtLog::add_prepared integrates it.
+struct PreparedSubmission {
+  SignedEntry entry;              ///< what the SCT and the Merkle leaf cover
+  SimTime time;                   ///< submission time: the SCT and leaf timestamp
+  crypto::Digest fingerprint{};   ///< SHA-256 of the submitted DER
+  Digest leaf_hash{};             ///< RFC 6962 hash of the MerkleTreeLeaf
+  std::string issuer_cn;
+  /// The CA signature check against the issuer key; nullopt when it was
+  /// not asked for (a log that verifies submissions refuses those).
+  std::optional<bool> chain_valid;
+
+  [[nodiscard]] std::uint64_t timestamp_ms() const {
+    return static_cast<std::uint64_t>(time.unix_seconds()) * 1000;
+  }
+};
+
+/// Prepares `cert` for submission at `now`: a precert entry when it
+/// carries the poison, an x509 entry otherwise. `check_chain` runs the
+/// CA signature check a verifying log needs.
+PreparedSubmission prepare_submission(const x509::Certificate& cert,
+                                      BytesView issuer_public_key, SimTime now,
+                                      bool check_chain);
+
 class CtLog {
  public:
   /// The signing key is derived from the log's name (reproducible).
@@ -92,6 +118,19 @@ class CtLog {
   /// add-pre-chain (precertificate). Rejects inputs without the poison.
   SubmitResult add_pre_chain(const x509::Certificate& precert, BytesView issuer_public_key,
                              SimTime now);
+  // Both are prepare_submission() followed by add_prepared().
+
+  /// The SCT this log issues for `prepared` if it accepts it as a new
+  /// entry. Pure (reads only the log's key), so it may be computed ahead
+  /// of add_prepared() on any thread.
+  [[nodiscard]] SignedCertificateTimestamp speculative_sct(
+      const PreparedSubmission& prepared) const;
+  /// Integrates a prepared submission: capacity, chain check, dedup,
+  /// Merkle append, subscribers. `sct` must be speculative_sct(prepared)
+  /// if given (it is signed here otherwise); it is discarded when the
+  /// submission is refused or deduplicated.
+  SubmitResult add_prepared(const PreparedSubmission& prepared,
+                            std::optional<SignedCertificateTimestamp> sct = std::nullopt);
 
   [[nodiscard]] std::uint64_t tree_size() const { return tree_.size(); }
   [[nodiscard]] const std::vector<LogEntry>& entries() const { return entries_; }
@@ -117,9 +156,6 @@ class CtLog {
   void corrupt_leaf_for_test(std::uint64_t index);
 
  private:
-  SubmitResult submit(const x509::Certificate& cert, BytesView issuer_public_key, SimTime now,
-                      EntryType type);
-
   LogConfig config_;
   std::unique_ptr<crypto::Signer> signer_;
   LogId log_id_;

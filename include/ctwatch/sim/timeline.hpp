@@ -9,6 +9,23 @@
 // All volumes are scaled by `TimelineOptions::scale`: the simulator runs at
 // a configurable fraction of real-world volume, and the analyses report
 // shares and shapes, which are scale-invariant.
+//
+// A run issues each certificate in three steps (the CA side is in ca.hpp):
+//   1. draw      — serial: per CA and day, the CA's forked RNG picks the
+//                  day's count and each certificate's time, and the CA
+//                  assigns the serial;
+//   2. prepare   — parallel (par::parallel_for over a fixed-size batch of
+//                  draws): build and sign the precertificate, encode and
+//                  hash its log entry once, sign each log's speculative SCT;
+//   3. integrate — serial, in draw order: each log's capacity check,
+//                  dedup, Merkle append, entry and subscribers. An
+//                  overloaded log discards its speculative SCT.
+// Determinism contract: draws and integration are serial and in one fixed
+// order, and preparation is a pure function of (request, time, serial), so
+// every log's entries, roots and overload counts are byte-identical at
+// every thread count. No final certificates are built: the analyses read
+// only the logs. The sim.timeline.{draw,prepare,integrate}_us histograms
+// record each run's wall time per step.
 #pragma once
 
 #include <string>

@@ -47,26 +47,46 @@ CtLog::CtLog(LogConfig config)
       signer_(crypto::make_signer("ct-log/" + config_.name, config_.scheme)),
       log_id_(signer_->key_id()) {}
 
+PreparedSubmission prepare_submission(const x509::Certificate& cert,
+                                      BytesView issuer_public_key, SimTime now,
+                                      bool check_chain) {
+  PreparedSubmission prepared;
+  prepared.entry = cert.is_precertificate() ? make_precert_entry(cert, issuer_public_key)
+                                            : make_x509_entry(cert);
+  prepared.time = now;
+  prepared.fingerprint = cert.fingerprint();
+  prepared.leaf_hash = leaf_hash(merkle_leaf_bytes(prepared.timestamp_ms(), prepared.entry));
+  prepared.issuer_cn = cert.tbs.issuer.common_name;
+  if (check_chain) prepared.chain_valid = cert.verify(issuer_public_key);
+  return prepared;
+}
+
 SubmitResult CtLog::add_chain(const x509::Certificate& cert, BytesView issuer_public_key,
                               SimTime now) {
   if (cert.is_precertificate()) return {SubmitStatus::rejected_invalid, 0, std::nullopt};
-  return submit(cert, issuer_public_key, now, EntryType::x509_entry);
+  return add_prepared(
+      prepare_submission(cert, issuer_public_key, now, config_.verify_submissions));
 }
 
 SubmitResult CtLog::add_pre_chain(const x509::Certificate& precert, BytesView issuer_public_key,
                                   SimTime now) {
   if (!precert.is_precertificate()) return {SubmitStatus::rejected_invalid, 0, std::nullopt};
-  return submit(precert, issuer_public_key, now, EntryType::precert_entry);
+  return add_prepared(
+      prepare_submission(precert, issuer_public_key, now, config_.verify_submissions));
 }
 
-SubmitResult CtLog::submit(const x509::Certificate& cert, BytesView issuer_public_key, SimTime now,
-                           EntryType type) {
+SignedCertificateTimestamp CtLog::speculative_sct(const PreparedSubmission& prepared) const {
+  return sign_sct(*signer_, log_id_, prepared.timestamp_ms(), prepared.entry);
+}
+
+SubmitResult CtLog::add_prepared(const PreparedSubmission& prepared,
+                                 std::optional<SignedCertificateTimestamp> sct) {
   SubmitMetrics& metrics = submit_metrics();
   metrics.submissions.inc();
 
   // Capacity enforcement (per UTC hour).
   if (config_.capacity_per_hour > 0) {
-    const std::int64_t hour = now.unix_seconds() / 3600;
+    const std::int64_t hour = prepared.time.unix_seconds() / 3600;
     std::uint64_t& count = hourly_submissions_[hour];
     if (count >= config_.capacity_per_hour) {
       ++overload_rejections_;
@@ -78,22 +98,22 @@ SubmitResult CtLog::submit(const x509::Certificate& cert, BytesView issuer_publi
     ++count;
   }
 
-  if (config_.verify_submissions && !cert.verify(issuer_public_key)) {
-    metrics.rejected_invalid.inc();
-    obs::log_debug("ct.log", "submission failed chain verification",
-                   {{"log", config_.name}, {"issuer", cert.tbs.issuer.common_name}});
-    return {SubmitStatus::rejected_invalid, 0, std::nullopt};
+  if (config_.verify_submissions) {
+    if (!prepared.chain_valid) {
+      throw std::invalid_argument("CtLog::add_prepared: chain not checked for a verifying log");
+    }
+    if (!*prepared.chain_valid) {
+      metrics.rejected_invalid.inc();
+      obs::log_debug("ct.log", "submission failed chain verification",
+                     {{"log", config_.name}, {"issuer", prepared.issuer_cn}});
+      return {SubmitStatus::rejected_invalid, 0, std::nullopt};
+    }
   }
 
-  SignedEntry entry = (type == EntryType::precert_entry)
-                          ? make_precert_entry(cert, issuer_public_key)
-                          : make_x509_entry(cert);
-
-  const crypto::Digest fp = cert.fingerprint();
   // Logs deduplicate resubmissions of the same (pre)certificate: return the
   // original SCT. (Requires stored bodies.)
   if (config_.store_bodies) {
-    const Bytes fp_bytes(fp.begin(), fp.end());
+    const Bytes fp_bytes(prepared.fingerprint.begin(), prepared.fingerprint.end());
     if (const auto it = dedup_.find(fp_bytes); it != dedup_.end()) {
       metrics.dedup_hits.inc();
       const LogEntry& existing = entries_[it->second];
@@ -103,19 +123,18 @@ SubmitResult CtLog::submit(const x509::Certificate& cert, BytesView issuer_publi
     dedup_[fp_bytes] = tree_.size();
   }
 
-  const std::uint64_t timestamp_ms = static_cast<std::uint64_t>(now.unix_seconds()) * 1000;
-  SignedCertificateTimestamp sct = sign_sct(*signer_, log_id_, timestamp_ms, entry);
+  if (!sct) sct = speculative_sct(prepared);
 
   LogEntry log_entry;
   log_entry.index = tree_.size();
-  log_entry.timestamp_ms = timestamp_ms;
-  log_entry.issuer_cn = cert.tbs.issuer.common_name;
-  log_entry.fingerprint = fp;
+  log_entry.timestamp_ms = prepared.timestamp_ms();
+  log_entry.issuer_cn = prepared.issuer_cn;
+  log_entry.fingerprint = prepared.fingerprint;
   {
     obs::ScopedTimer timer(metrics.merkle_integrate_us);
-    tree_.append_data(merkle_leaf_bytes(timestamp_ms, entry));
+    tree_.append(prepared.leaf_hash);
   }
-  if (config_.store_bodies) log_entry.signed_entry = std::move(entry);
+  if (config_.store_bodies) log_entry.signed_entry = prepared.entry;
   metrics.accepted.inc();
   entries_.push_back(std::move(log_entry));
   for (const Subscriber& subscriber : subscribers_) subscriber(*this, entries_.back());

@@ -37,9 +37,10 @@ CertificateAuthority::CertificateAuthority(std::string name, std::string issuer_
   issuer_dn_.country = "US";
 }
 
-x509::CertificateBuilder CertificateAuthority::base_builder(const IssuanceRequest& request) {
+x509::CertificateBuilder CertificateAuthority::base_builder(const IssuanceRequest& request,
+                                                           std::uint64_t serial) const {
   x509::CertificateBuilder builder;
-  builder.serial(next_serial())
+  builder.serial(serial)
       .issuer(issuer_dn_)
       .subject_cn(request.subject_cn)
       .validity(request.not_before, request.not_after)
@@ -59,38 +60,74 @@ x509::CertificateBuilder CertificateAuthority::base_builder(const IssuanceReques
 }
 
 IssuanceResult CertificateAuthority::issue(const IssuanceRequest& request, SimTime now) {
+  PreparedIssuance prepared = prepare(request, now, next_serial());
+  SubmissionOutcome outcome = submit(prepared.pre_chain, request.logs);
   IssuanceResult result;
+  result.final_certificate = finalize(request, prepared, outcome.scts);
+  result.precertificate = std::move(prepared.precertificate);
+  result.scts = std::move(outcome.scts);
+  result.failed_logs = std::move(outcome.failed_logs);
+  return result;
+}
 
-  // 1. Precertificate: poisoned TBS signed by the CA. With redaction the
-  //    precertificate (and hence the log) only sees "?" labels.
-  x509::CertificateBuilder builder = base_builder(request);
+PreparedIssuance CertificateAuthority::prepare(const IssuanceRequest& request, SimTime now,
+                                               std::uint64_t serial) const {
+  PreparedIssuance prepared;
+
+  // Precertificate: poisoned TBS signed by the CA. With redaction the
+  // precertificate (and hence the log) only sees "?" labels.
+  x509::CertificateBuilder builder = base_builder(request, serial);
   if (request.redact_subdomains) {
     builder.extension(
         x509::Extension{x509::redaction_marker_oid(), false, asn1::encode_null()});
   }
-  const x509::TbsCertificate full_tbs = builder.build_tbs();
+  prepared.full_tbs = builder.build_tbs();
   x509::TbsCertificate pre_tbs =
-      request.redact_subdomains ? x509::redacted_tbs(full_tbs) : full_tbs;
+      request.redact_subdomains ? x509::redacted_tbs(prepared.full_tbs) : prepared.full_tbs;
   pre_tbs.add_extension(
       x509::Extension{x509::oids::ct_poison(), true, asn1::encode_null()});
-  result.precertificate.tbs = std::move(pre_tbs);
-  result.precertificate.signature = signer_->sign(result.precertificate.tbs.encode());
+  prepared.precertificate.tbs = std::move(pre_tbs);
+  prepared.precertificate.signature = signer_->sign(prepared.precertificate.tbs.encode());
 
-  // 2. add-pre-chain to every requested log.
-  const Bytes ca_key = public_key();
-  for (ct::CtLog* log : request.logs) {
-    const ct::SubmitResult submitted = log->add_pre_chain(result.precertificate, ca_key, now);
+  // The add-pre-chain submission, once for every log, and each log's SCT.
+  const bool check_chain = std::any_of(request.logs.begin(), request.logs.end(),
+                                       [](const ct::CtLog* log) {
+                                         return log->config().verify_submissions;
+                                       });
+  PreChainSubmission& pre_chain = prepared.pre_chain;
+  pre_chain.submission =
+      ct::prepare_submission(prepared.precertificate, public_key(), now, check_chain);
+  pre_chain.speculative_scts.reserve(request.logs.size());
+  for (const ct::CtLog* log : request.logs) {
+    pre_chain.speculative_scts.push_back(log->speculative_sct(pre_chain.submission));
+  }
+  return prepared;
+}
+
+SubmissionOutcome CertificateAuthority::submit(PreChainSubmission& pre_chain,
+                                               const std::vector<ct::CtLog*>& logs) {
+  if (logs.size() != pre_chain.speculative_scts.size()) {
+    throw std::invalid_argument("CertificateAuthority::submit: logs differ from the prepared ones");
+  }
+  SubmissionOutcome outcome;
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    ct::SubmitResult submitted =
+        logs[i]->add_prepared(pre_chain.submission, std::move(pre_chain.speculative_scts[i]));
     if (submitted.status == ct::SubmitStatus::ok && submitted.sct) {
-      result.scts.push_back(*submitted.sct);
+      outcome.scts.push_back(std::move(*submitted.sct));
     } else {
-      result.failed_logs.push_back(log->name());
+      outcome.failed_logs.push_back(logs[i]->name());
     }
   }
+  return outcome;
+}
 
-  // 3. Final certificate: the full (unredacted) TBS, SCT list in. Bugs are
-  //    injected here, after the logs have signed — exactly where the real
-  //    CAs broke.
-  x509::TbsCertificate final_tbs = full_tbs;
+x509::Certificate CertificateAuthority::finalize(
+    const IssuanceRequest& request, const PreparedIssuance& prepared,
+    const std::vector<ct::SignedCertificateTimestamp>& scts) const {
+  // The full (unredacted) TBS, SCT list in. Bugs are injected here, after
+  // the logs have signed — exactly where the real CAs broke.
+  x509::TbsCertificate final_tbs = prepared.full_tbs;
 
   switch (request.bug) {
     case IssuanceBug::none:
@@ -130,13 +167,14 @@ IssuanceResult CertificateAuthority::issue(const IssuanceRequest& request, SimTi
     }
   }
 
-  if (!result.scts.empty()) {
-    final_tbs.add_extension(x509::Extension{x509::oids::ct_sct_list(), false,
-                                            ct::serialize_sct_list(result.scts)});
+  if (!scts.empty()) {
+    final_tbs.add_extension(
+        x509::Extension{x509::oids::ct_sct_list(), false, ct::serialize_sct_list(scts)});
   }
-  result.final_certificate.tbs = final_tbs;
-  result.final_certificate.signature = signer_->sign(final_tbs.encode());
-  return result;
+  x509::Certificate final_certificate;
+  final_certificate.signature = signer_->sign(final_tbs.encode());
+  final_certificate.tbs = std::move(final_tbs);
+  return final_certificate;
 }
 
 x509::Certificate CertificateAuthority::reissue_with_stale_scts(const IssuanceResult& previous,
@@ -157,7 +195,7 @@ x509::Certificate CertificateAuthority::reissue_with_stale_scts(const IssuanceRe
 x509::Certificate CertificateAuthority::issue_unlogged(const IssuanceRequest& request,
                                                        SimTime now) {
   (void)now;
-  return base_builder(request).sign(*signer_);
+  return base_builder(request, next_serial()).sign(*signer_);
 }
 
 }  // namespace ctwatch::sim

@@ -22,6 +22,8 @@
 #include "ctwatch/phishing/detector.hpp"
 #include "ctwatch/sim/ca.hpp"
 #include "ctwatch/sim/domains.hpp"
+#include "ctwatch/sim/timeline.hpp"
+#include "timeline_state.hpp"
 
 namespace ctwatch {
 namespace {
@@ -289,6 +291,44 @@ TEST(ParParityTest, LeakageStudyArtifactsRenderIdenticallyAtEveryThreadCount) {
     } else {
       EXPECT_EQ(table2, baseline_table2) << "threads=" << threads;
       EXPECT_EQ(funnel, baseline_funnel) << "threads=" << threads;
+    }
+  }
+}
+
+// ---------- the Fig 1 issuance timeline ----------
+
+TEST(ParParityTest, TimelineIsByteIdenticalAtEveryThreadCount) {
+  GlobalThreadsGuard guard;
+  // Two days of the Let's Encrypt launch at 1/500 scale: several prepare
+  // batches, and Nimbus2018's 60/h capacity binds, so speculative SCTs
+  // are discarded on the way.
+  sim::TimelineOptions options;
+  options.start = "2018-03-08";
+  options.end = "2018-03-10";
+  options.scale = 1.0 / 500.0;
+
+  sim::TimelineStats baseline_stats;
+  std::vector<sim::LogState> baseline_logs;
+  for (unsigned threads : kThreadCounts) {
+    par::TaskPool::set_global_threads(threads);
+    sim::EcosystemOptions ecosystem_options;
+    ecosystem_options.seed = 11;
+    sim::Ecosystem ecosystem(ecosystem_options);
+    const sim::TimelineStats stats = sim::TimelineSimulator(ecosystem, options).run();
+    std::vector<sim::LogState> logs = sim::log_states(ecosystem);
+    if (threads == 1) {
+      EXPECT_GT(stats.issued, 2048u);
+      EXPECT_GT(stats.overloaded, 0u);
+      baseline_stats = stats;
+      baseline_logs = std::move(logs);
+      continue;
+    }
+    EXPECT_EQ(stats.issued, baseline_stats.issued) << "threads=" << threads;
+    EXPECT_EQ(stats.log_submissions, baseline_stats.log_submissions) << "threads=" << threads;
+    EXPECT_EQ(stats.overloaded, baseline_stats.overloaded) << "threads=" << threads;
+    ASSERT_EQ(logs.size(), baseline_logs.size());
+    for (std::size_t i = 0; i < logs.size(); ++i) {
+      EXPECT_EQ(logs[i], baseline_logs[i]) << logs[i].name << " threads=" << threads;
     }
   }
 }

@@ -8,6 +8,7 @@
 #include "ctwatch/sim/population.hpp"
 #include "ctwatch/sim/timeline.hpp"
 #include "ctwatch/sim/traffic.hpp"
+#include "timeline_state.hpp"
 
 namespace ctwatch::sim {
 namespace {
@@ -125,6 +126,80 @@ TEST_F(CaFlowTest, SerialsIncrement) {
   EXPECT_EQ(ca_.certificates_issued(), 2u);
 }
 
+/// Two copies of one issuance setup (same names, hence the same keys): an
+/// unlimited log, a verifying log and a log already at its capacity.
+struct IssuanceWorld {
+  IssuanceWorld() : ca("Steps CA", "Steps Issuing CA", SignatureScheme::hmac_sha256_simulated) {
+    ct::LogConfig config;
+    config.scheme = SignatureScheme::hmac_sha256_simulated;
+    config.verify_submissions = false;
+    config.name = "Steps Open Log";
+    logs.push_back(std::make_unique<ct::CtLog>(config));
+    config.name = "Steps Verifying Log";
+    config.verify_submissions = true;
+    logs.push_back(std::make_unique<ct::CtLog>(config));
+    config.name = "Steps Full Log";
+    config.capacity_per_hour = 1;
+    logs.push_back(std::make_unique<ct::CtLog>(config));
+  }
+
+  IssuanceRequest request(IssuanceBug bug, bool redact, SimTime now) {
+    IssuanceRequest req;
+    req.subject_cn = "www.steps.example.org";
+    req.sans = {x509::SanEntry::dns("www.steps.example.org"),
+                x509::SanEntry::address(net::IPv4(192, 0, 2, 9)),
+                x509::SanEntry::dns("api.steps.example.org")};
+    req.not_before = now;
+    req.not_after = now + 90 * 86400;
+    for (const auto& log : logs) req.logs.push_back(log.get());
+    req.bug = bug;
+    req.redact_subdomains = redact;
+    return req;
+  }
+
+  CertificateAuthority ca;
+  std::vector<std::unique_ptr<ct::CtLog>> logs;
+};
+
+TEST(IssuanceStepsTest, IssueIsPrepareSubmitFinalizeByteForByte) {
+  IssuanceWorld whole;
+  IssuanceWorld stepped;
+  const SimTime now = SimTime::parse("2018-03-20");
+  int full_log_refusals = 0;
+  for (const IssuanceBug bug :
+       {IssuanceBug::none, IssuanceBug::san_reorder, IssuanceBug::extension_reorder,
+        IssuanceBug::name_swap, IssuanceBug::stale_sct_reissue}) {
+    for (const bool redact : {false, true}) {
+      SCOPED_TRACE(to_string(bug) + (redact ? " redacted" : ""));
+      const IssuanceRequest whole_request = whole.request(bug, redact, now);
+      const IssuanceResult want = whole.ca.issue(whole_request, now);
+
+      const IssuanceRequest request = stepped.request(bug, redact, now);
+      PreparedIssuance prepared = stepped.ca.prepare(request, now, stepped.ca.next_serial());
+      const x509::Certificate precertificate = prepared.precertificate;
+      const SubmissionOutcome outcome =
+          CertificateAuthority::submit(prepared.pre_chain, request.logs);
+      const x509::Certificate final_certificate =
+          stepped.ca.finalize(request, prepared, outcome.scts);
+
+      EXPECT_EQ(precertificate.encode(), want.precertificate.encode());
+      EXPECT_EQ(outcome.scts, want.scts);
+      EXPECT_EQ(outcome.failed_logs, want.failed_logs);
+      EXPECT_EQ(final_certificate.encode(), want.final_certificate.encode());
+      // The full log takes the first submission of the hour and refuses
+      // the rest, so the discarded speculative SCT is exercised.
+      full_log_refusals += static_cast<int>(want.failed_logs.size());
+    }
+  }
+  EXPECT_EQ(full_log_refusals, 9);
+  EXPECT_EQ(stepped.ca.certificates_issued(), whole.ca.certificates_issued());
+  for (std::size_t i = 0; i < whole.logs.size(); ++i) {
+    EXPECT_EQ(stepped.logs[i]->tree_size(), whole.logs[i]->tree_size());
+    EXPECT_EQ(stepped.logs[i]->get_sth(now).root_hash, whole.logs[i]->get_sth(now).root_hash);
+    EXPECT_EQ(stepped.logs[i]->overload_rejections(), whole.logs[i]->overload_rejections());
+  }
+}
+
 // ---------- ecosystem ----------
 
 TEST(EcosystemTest, StandardRosterLoads) {
@@ -187,6 +262,10 @@ TEST(TimelineTest, SmallScaleRunShapes) {
 }
 
 TEST(TimelineTest, DeterministicForSeed) {
+  struct Run {
+    std::uint64_t issued = 0;
+    std::vector<LogState> logs;
+  };
   auto run = [] {
     EcosystemOptions options;
     options.verify_submissions = false;
@@ -195,9 +274,19 @@ TEST(TimelineTest, DeterministicForSeed) {
     Ecosystem ecosystem(options);
     TimelineOptions timeline_options;
     timeline_options.scale = 1.0 / 50000.0;
-    return TimelineSimulator(ecosystem, timeline_options).run().issued;
+    Run out;
+    out.issued = TimelineSimulator(ecosystem, timeline_options).run().issued;
+    out.logs = log_states(ecosystem);
+    return out;
   };
-  EXPECT_EQ(run(), run());
+  const Run first = run();
+  const Run second = run();
+  EXPECT_GT(first.issued, 0u);
+  EXPECT_EQ(first.issued, second.issued);
+  ASSERT_EQ(first.logs.size(), second.logs.size());
+  for (std::size_t i = 0; i < first.logs.size(); ++i) {
+    EXPECT_EQ(first.logs[i], second.logs[i]) << first.logs[i].name;
+  }
 }
 
 // ---------- population & traffic ----------
