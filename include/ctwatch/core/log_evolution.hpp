@@ -38,8 +38,11 @@ struct LogEvolutionReport {
 
 /// Analyzes the (already simulated) ecosystem's logs. Deduplicates entries
 /// across logs by certificate fingerprint, so a precertificate submitted to
-/// three logs counts once in Fig. 1a/1b (and three times in the Fig. 1c
-/// load matrix, which measures log utilization).
+/// three logs counts once in Fig. 1a/1b, in the earliest month any log
+/// holds it (and three times in the Fig. 1c load matrix, which measures
+/// log utilization). One serial pass over the entries: months are integers
+/// and CAs indices until the report is written, and the fingerprints go
+/// into one flat ct::DigestIndex.
 class LogEvolutionStudy {
  public:
   explicit LogEvolutionStudy(sim::Ecosystem& ecosystem) : ecosystem_(&ecosystem) {}

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "ctwatch/ct/digest_index.hpp"
 #include "ctwatch/ct/merkle.hpp"
 #include "ctwatch/ct/sct.hpp"
 #include "ctwatch/util/time.hpp"
@@ -85,6 +86,7 @@ struct PreparedSubmission {
   SimTime time;                   ///< submission time: the SCT and leaf timestamp
   crypto::Digest fingerprint{};   ///< SHA-256 of the submitted DER
   Digest leaf_hash{};             ///< RFC 6962 hash of the MerkleTreeLeaf
+  Bytes sct_input;                ///< what every log's SCT signs (no log id in it)
   std::string issuer_cn;
   /// The CA signature check against the issuer key; nullopt when it was
   /// not asked for (a log that verifies submissions refuses those).
@@ -101,6 +103,12 @@ struct PreparedSubmission {
 PreparedSubmission prepare_submission(const x509::Certificate& cert,
                                       BytesView issuer_public_key, SimTime now,
                                       bool check_chain);
+/// The same from bytes the caller already holds: `entry` as
+/// make_x509_entry / make_precert_entry build it, `certificate_der` the
+/// submitted certificate's DER, and the chain check's result if it ran.
+PreparedSubmission prepare_submission(SignedEntry entry, BytesView certificate_der,
+                                      std::string issuer_cn, SimTime now,
+                                      std::optional<bool> chain_valid);
 
 class CtLog {
  public:
@@ -161,7 +169,7 @@ class CtLog {
   LogId log_id_;
   MerkleTree tree_;
   std::vector<LogEntry> entries_;
-  std::map<Bytes, std::uint64_t> dedup_;  ///< fingerprint -> entry index
+  DigestIndex dedup_;  ///< fingerprint -> entry index (keys read from entries_)
   std::vector<Subscriber> subscribers_;
   // Per-hour submission counts for capacity enforcement. A map (rather
   // than a single sliding window) because simulations may submit out of

@@ -70,6 +70,11 @@ Bytes sct_signing_input(const SignedCertificateTimestamp& sct, const SignedEntry
 /// log derives once.
 SignedCertificateTimestamp sign_sct(const crypto::Signer& signer, const LogId& log_id,
                                     std::uint64_t timestamp_ms, const SignedEntry& entry);
+/// The same over a prebuilt `signing_input`: sct_signing_input() of a v1
+/// SCT at `timestamp_ms` without extensions. Those bytes name no log, so
+/// one build serves every log a submission goes to.
+SignedCertificateTimestamp sign_sct(const crypto::Signer& signer, const LogId& log_id,
+                                    std::uint64_t timestamp_ms, BytesView signing_input);
 
 /// Verifies an SCT over an entry with the issuing log's public key bytes.
 bool verify_sct(const SignedCertificateTimestamp& sct, const SignedEntry& entry,

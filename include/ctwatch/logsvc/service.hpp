@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "ctwatch/chaos/fault.hpp"
+#include "ctwatch/ct/digest_index.hpp"
 #include "ctwatch/ct/log.hpp"
 #include "ctwatch/ct/merkle.hpp"
 #include "ctwatch/ct/sct.hpp"
@@ -324,7 +325,7 @@ class LogService {
   // Sequencer-private state (no locking: single thread).
   ct::RootAccumulator accumulator_;
   /// fingerprint -> position in entries_ (index - resident_base_).
-  DigestIndex dedup_;
+  ct::DigestIndex dedup_;
   std::uint64_t last_timestamp_ms_ = 0;
   std::uint64_t seal_seq_ = 0;
 
@@ -336,7 +337,7 @@ class LogService {
   // lock: readers never touch the snapshot or queue locks. Covers
   // [resident_base_, tree_size).
   mutable std::mutex leaf_index_mu_;
-  DigestIndex leaf_index_;
+  ct::DigestIndex leaf_index_;
 
   /// Paged mode: where the resident entry records begin, and where the
   /// resident leaf hashes begin (resident_base_ floored to a tile, so

@@ -18,9 +18,12 @@
 //
 // One issuance is four steps, and issue() is exactly their composition:
 //   1. next_serial()  — serial: the only CA state an issuance consumes;
-//   2. prepare()      — pure: builds and signs the precertificate, prepares
-//                       its log submission once (entry, fingerprint, leaf
-//                       hash) and each target log's speculative SCT;
+//   2. prepare()      — pure: builds the precertificate, encodes its TBS
+//                       once (the CA signs it, the log entry and the
+//                       fingerprint are spliced from it), prepares its log
+//                       submission once (entry, fingerprint, leaf hash,
+//                       SCT signing input) and each target log's
+//                       speculative SCT;
 //   3. submit()       — serial: offers the prepared precertificate to each
 //                       log in order (capacity, dedup, Merkle append);
 //   4. finalize()     — pure: the final certificate with the SCT list.
@@ -143,6 +146,8 @@ class CertificateAuthority {
   x509::DistinguishedName issuer_dn_;
   std::unique_ptr<crypto::Signer> signer_;
   std::unique_ptr<crypto::Signer> subject_key_;  ///< shared leaf key (simulation)
+  crypto::Digest issuer_key_hash_{};  ///< of signer_'s public key: precert entries carry it
+  x509::TbsEncoder tbs_encoder_;      ///< the DER every precertificate TBS shares
   std::uint64_t serial_counter_ = 0;
 };
 

@@ -14,18 +14,25 @@
 //   1. draw      — serial: per CA and day, the CA's forked RNG picks the
 //                  day's count and each certificate's time, and the CA
 //                  assigns the serial;
-//   2. prepare   — parallel (par::parallel_for over a fixed-size batch of
+//   2. prepare   — parallel (a par::TaskGroup over a fixed-size batch of
 //                  draws): build and sign the precertificate, encode and
 //                  hash its log entry once, sign each log's speculative SCT;
 //   3. integrate — serial, in draw order: each log's capacity check,
 //                  dedup, Merkle append, entry and subscribers. An
 //                  overloaded log discards its speculative SCT.
+// Steps 2 and 3 overlap: while batch k+1 prepares on the pool, the caller
+// integrates batch k, then waits. Preparing reads only the CA's and the
+// logs' keys and configs; integrating writes only the logs' trees, entries
+// and capacity counters. At one thread the group runs the preparation
+// inline, before the integration.
 // Determinism contract: draws and integration are serial and in one fixed
 // order, and preparation is a pure function of (request, time, serial), so
 // every log's entries, roots and overload counts are byte-identical at
 // every thread count. No final certificates are built: the analyses read
 // only the logs. The sim.timeline.{draw,prepare,integrate}_us histograms
-// record each run's wall time per step.
+// split each run's wall time: prepare_us is the caller's exposed wait on
+// preparation (launch plus wait), not its CPU time, and the three add up
+// to the run.
 #pragma once
 
 #include <string>

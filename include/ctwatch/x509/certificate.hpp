@@ -129,6 +129,39 @@ struct Certificate {
 /// invalidates the embedded SCT.
 Bytes precert_tbs_bytes(const TbsCertificate& tbs);
 
+/// DER of the certificate {tbs, signature} whose TBS is already encoded:
+/// Certificate::encode() is encode_certificate(tbs.encode(), signature).
+Bytes encode_certificate(BytesView tbs_der, const crypto::SignatureBlob& signature);
+
+/// A precertificate TBS in both of its RFC 6962 §3.2 encodings.
+struct PrecertTbsDer {
+  Bytes tbs;        ///< the TBS as given, poison included: tbs.encode()
+  Bytes log_entry;  ///< without poison and SCT list: precert_tbs_bytes(tbs)
+};
+
+/// Encodes many TBSes that share fields with one template: a CA's issuer
+/// name, subject key and fixed extensions. The template's DER is encoded
+/// once. A field or extension equal to the template's reuses that DER,
+/// and any other is encoded afresh, so every output equals the reference
+/// encoding (TbsCertificate::encode, precert_tbs_bytes) byte for byte.
+class TbsEncoder {
+ public:
+  TbsEncoder() : TbsEncoder(TbsCertificate{}) {}
+  explicit TbsEncoder(TbsCertificate shared);
+
+  /// {tbs.encode(), precert_tbs_bytes(tbs)}, from one encoding of each
+  /// field and extension: the two differ only in which extensions the
+  /// [3] wrapper carries.
+  [[nodiscard]] PrecertTbsDer encode_precert(const TbsCertificate& tbs) const;
+
+ private:
+  TbsCertificate shared_;
+  Bytes sig_alg_;                  ///< of shared_.key_scheme
+  Bytes issuer_;                   ///< of shared_.issuer
+  Bytes spki_;                     ///< of shared_.key_scheme and public_key
+  std::vector<Bytes> extensions_;  ///< of shared_.extensions, in order
+};
+
 /// Minimal big-endian serial-number magnitude for a 64-bit value.
 Bytes serial_bytes(std::uint64_t serial);
 

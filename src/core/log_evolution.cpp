@@ -1,80 +1,140 @@
 #include "ctwatch/core/log_evolution.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <numeric>
+#include <optional>
 #include <set>
 #include <sstream>
 
+#include "ctwatch/ct/digest_index.hpp"
 #include "ctwatch/obs/obs.hpp"
 #include "ctwatch/util/strings.hpp"
 
 namespace ctwatch::core {
 
-std::string month_key(SimTime t) {
-  const CivilTime c = t.civil();
-  char buf[8];
-  std::snprintf(buf, sizeof buf, "%04d-%02d", c.year, c.month);
+namespace {
+
+/// A month as one integer, year * 12 + (month - 1): it orders like its
+/// "YYYY-MM" label.
+int month_number(const CivilTime& c) { return c.year * 12 + (c.month - 1); }
+
+std::string month_label(int month) {
+  char buf[16];
+  std::snprintf(buf, sizeof buf, "%04d-%02d", month / 12, month % 12 + 1);
   return buf;
 }
+
+/// The month a "YYYY-MM" label names, if it is one month_label() prints.
+std::optional<int> parse_month_label(const std::string& label) {
+  int year = 0;
+  int month = 0;
+  if (std::sscanf(label.c_str(), "%d-%d", &year, &month) != 2 || month < 1 || month > 12) {
+    return std::nullopt;
+  }
+  const int number = year * 12 + (month - 1);
+  if (month_label(number) != label) return std::nullopt;
+  return number;
+}
+
+}  // namespace
+
+std::string month_key(SimTime t) { return month_label(month_number(t.civil())); }
 
 LogEvolutionReport LogEvolutionStudy::run(const std::string& focus_month) const {
   CTWATCH_SPAN("core.log_evolution.run");
   LogEvolutionReport report;
   report.focus_month = focus_month;
+  const std::optional<int> focus = parse_month_label(focus_month);
 
-  // Issuer CN -> CA name.
+  // CA names by index. An issuer CN is looked up once per run of equal
+  // CNs in a log, not once per entry.
   std::map<std::string, std::string> issuer_to_ca;
   for (const sim::CaSpec& spec : sim::Ecosystem::standard_cas()) {
     issuer_to_ca[spec.issuer_cn] = spec.name;
   }
-
-  // Gather (month, ca, fingerprint, log) across all logs.
-  struct Row {
-    std::string month;
-    std::string ca;
-    crypto::Digest fingerprint;
-    const std::string* log;
+  std::vector<std::string> ca_names;
+  const auto ca_index_of = [&](const std::string& issuer_cn) {
+    const auto it = issuer_to_ca.find(issuer_cn);
+    const std::string name = it != issuer_to_ca.end() ? it->second : "other";
+    const auto known = std::find(ca_names.begin(), ca_names.end(), name);
+    if (known != ca_names.end()) return static_cast<std::size_t>(known - ca_names.begin());
+    ca_names.push_back(name);
+    return ca_names.size() - 1;
   };
-  std::vector<Row> rows;
-  std::set<std::string> months_seen;
+
+  // Fig. 1a/1b count each certificate once, in the earliest month any log
+  // holds it (in the timeline every log holds it at the same time, so
+  // the order the logs are read in does not matter).
+  struct Unique {
+    crypto::Digest fingerprint;
+    int month = 0;
+    std::size_t ca = 0;
+  };
+  std::vector<Unique> uniques;
+  ct::DigestIndex unique_index;
+  const auto fingerprint_of = [&uniques](std::uint64_t i) -> const crypto::Digest& {
+    return uniques[static_cast<std::size_t>(i)].fingerprint;
+  };
+  std::vector<int> months;  // every month any entry falls in
+  std::uint64_t entries = 0;
+
   for (ct::CtLog* log : ecosystem_->all_logs()) {
     report.overload_rejections[log->name()] = log->overload_rejections();
+    std::vector<std::uint64_t> focus_by_ca;  // Fig. 1c counts every submission
+    const std::string* issuer_cn = nullptr;
+    std::size_t ca = 0;
+    std::uint64_t day = 0;
+    int month = -1;
     for (const ct::LogEntry& entry : log->entries()) {
-      Row row;
-      row.month = month_key(SimTime{static_cast<std::int64_t>(entry.timestamp_ms / 1000)});
-      const auto it = issuer_to_ca.find(entry.issuer_cn);
-      row.ca = it != issuer_to_ca.end() ? it->second : "other";
-      row.fingerprint = entry.fingerprint;
-      row.log = &log->name();
-      months_seen.insert(row.month);
-      rows.push_back(std::move(row));
+      if (issuer_cn == nullptr || entry.issuer_cn != *issuer_cn) {
+        issuer_cn = &entry.issuer_cn;
+        ca = ca_index_of(entry.issuer_cn);
+      }
+      if (month < 0 || entry.timestamp_ms / 86'400'000 != day) {
+        day = entry.timestamp_ms / 86'400'000;
+        month = month_number(SimTime{static_cast<std::int64_t>(entry.timestamp_ms / 1000)}.civil());
+        if (std::find(months.begin(), months.end(), month) == months.end()) {
+          months.push_back(month);
+        }
+      }
+      if (month == focus) {
+        if (focus_by_ca.size() <= ca) focus_by_ca.resize(ca + 1, 0);
+        ++focus_by_ca[ca];
+      }
+      const std::uint64_t first =
+          unique_index.insert(entry.fingerprint, uniques.size(), fingerprint_of);
+      if (first == uniques.size()) {
+        uniques.push_back(Unique{entry.fingerprint, month, ca});
+      } else {
+        uniques[static_cast<std::size_t>(first)].month =
+            std::min(uniques[static_cast<std::size_t>(first)].month, month);
+      }
     }
+    for (std::size_t c = 0; c < focus_by_ca.size(); ++c) {
+      if (focus_by_ca[c] > 0) report.ca_log_matrix[ca_names[c]][log->name()] += focus_by_ca[c];
+    }
+    entries += log->entries().size();
   }
-  report.months.assign(months_seen.begin(), months_seen.end());
-  std::map<std::string, std::size_t> month_index;
-  for (std::size_t i = 0; i < report.months.size(); ++i) month_index[report.months[i]] = i;
 
-  // Fig. 1a/1b: unique certificates per (month, CA).
+  // Only the distinct months are formatted.
+  std::sort(months.begin(), months.end());
+  for (const int month : months) report.months.push_back(month_label(month));
+  std::vector<std::vector<std::uint64_t>> series_by_ca(ca_names.size());
+  for (const Unique& unique : uniques) {
+    std::vector<std::uint64_t>& series = series_by_ca[unique.ca];
+    if (series.empty()) series.resize(months.size(), 0);
+    ++series[static_cast<std::size_t>(
+        std::lower_bound(months.begin(), months.end(), unique.month) - months.begin())];
+  }
+  const std::uint64_t total_unique = uniques.size();
   std::map<std::string, std::vector<std::uint64_t>> monthly_unique;
-  std::set<std::array<std::uint8_t, 32>> seen_fingerprints;
-  std::uint64_t total_unique = 0;
   std::map<std::string, std::uint64_t> unique_per_ca;
-  // Sort rows chronologically so "first sighting" attribution is stable.
-  std::sort(rows.begin(), rows.end(),
-            [](const Row& a, const Row& b) { return a.month < b.month; });
-  for (const Row& row : rows) {
-    std::array<std::uint8_t, 32> key{};
-    std::copy(row.fingerprint.begin(), row.fingerprint.end(), key.begin());
-    const bool fresh = seen_fingerprints.insert(key).second;
-
-    // Fig. 1c: log utilization counts every submission.
-    if (row.month == focus_month) ++report.ca_log_matrix[row.ca][*row.log];
-
-    if (!fresh) continue;
-    ++total_unique;
-    ++unique_per_ca[row.ca];
-    auto& series = monthly_unique[row.ca];
-    if (series.empty()) series.resize(report.months.size(), 0);
-    ++series[month_index[row.month]];
+  for (std::size_t c = 0; c < ca_names.size(); ++c) {
+    if (series_by_ca[c].empty()) continue;
+    unique_per_ca[ca_names[c]] =
+        std::accumulate(series_by_ca[c].begin(), series_by_ca[c].end(), std::uint64_t{0});
+    monthly_unique[ca_names[c]] = std::move(series_by_ca[c]);
   }
 
   // Cumulative sums and monthly shares.
@@ -108,7 +168,7 @@ LogEvolutionReport LogEvolutionStudy::run(const std::string& focus_month) const 
                           ? static_cast<double>(top5) / static_cast<double>(total_unique)
                           : 0.0;
   obs::log_info("core.log_evolution", "study complete",
-                {{"entries", rows.size()},
+                {{"entries", entries},
                  {"unique_certificates", total_unique},
                  {"months", report.months.size()},
                  {"top5_share", report.top5_share}});

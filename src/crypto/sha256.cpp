@@ -136,7 +136,7 @@ Digest hmac_sha256(BytesView key, BytesView message) {
   if (key.size() > 64) {
     const Digest kd = Sha256::hash(key);
     std::memcpy(k.data(), kd.data(), kd.size());
-  } else {
+  } else if (!key.empty()) {  // an empty key's data() may be null
     std::memcpy(k.data(), key.data(), key.size());
   }
   std::array<std::uint8_t, 64> ipad{}, opad{};

@@ -1,5 +1,7 @@
 #include "ctwatch/crypto/signature.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 namespace ctwatch::crypto {
@@ -19,8 +21,32 @@ std::unique_ptr<SimulatedSigner> SimulatedSigner::derive(const std::string& seed
   return std::make_unique<SimulatedSigner>(Bytes(key.begin(), key.end()));
 }
 
+SimulatedSigner::SimulatedSigner(Bytes shared_key) : key_(std::move(shared_key)) {
+  // RFC 2104: a key longer than the block is hashed, a shorter one is
+  // zero-padded to the block.
+  std::array<std::uint8_t, 64> block{};
+  if (key_.size() > block.size()) {
+    const Digest hashed = Sha256::hash(key_);
+    std::copy(hashed.begin(), hashed.end(), block.begin());
+  } else {
+    std::copy(key_.begin(), key_.end(), block.begin());
+  }
+  const auto absorb_padded = [&block](Sha256& hash, std::uint8_t pad_byte) {
+    std::array<std::uint8_t, 64> padded{};
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      padded[i] = static_cast<std::uint8_t>(block[i] ^ pad_byte);
+    }
+    hash.update(BytesView{padded.data(), padded.size()});
+  };
+  absorb_padded(inner_, 0x36);
+  absorb_padded(outer_, 0x5c);
+}
+
 SignatureBlob SimulatedSigner::sign(BytesView message) const {
-  const Digest mac = hmac_sha256(key_, message);
+  Sha256 inner = inner_;
+  const Digest inner_digest = inner.update(message).finish();
+  Sha256 outer = outer_;
+  const Digest mac = outer.update(BytesView{inner_digest.data(), inner_digest.size()}).finish();
   return SignatureBlob{scheme(), Bytes(mac.begin(), mac.end())};
 }
 

@@ -50,14 +50,27 @@ CtLog::CtLog(LogConfig config)
 PreparedSubmission prepare_submission(const x509::Certificate& cert,
                                       BytesView issuer_public_key, SimTime now,
                                       bool check_chain) {
+  std::optional<bool> chain_valid;
+  if (check_chain) chain_valid = cert.verify(issuer_public_key);
+  return prepare_submission(cert.is_precertificate()
+                                ? make_precert_entry(cert, issuer_public_key)
+                                : make_x509_entry(cert),
+                            cert.encode(), cert.tbs.issuer.common_name, now, chain_valid);
+}
+
+PreparedSubmission prepare_submission(SignedEntry entry, BytesView certificate_der,
+                                      std::string issuer_cn, SimTime now,
+                                      std::optional<bool> chain_valid) {
   PreparedSubmission prepared;
-  prepared.entry = cert.is_precertificate() ? make_precert_entry(cert, issuer_public_key)
-                                            : make_x509_entry(cert);
+  prepared.entry = std::move(entry);
   prepared.time = now;
-  prepared.fingerprint = cert.fingerprint();
+  prepared.fingerprint = crypto::Sha256::hash(certificate_der);
   prepared.leaf_hash = leaf_hash(merkle_leaf_bytes(prepared.timestamp_ms(), prepared.entry));
-  prepared.issuer_cn = cert.tbs.issuer.common_name;
-  if (check_chain) prepared.chain_valid = cert.verify(issuer_public_key);
+  SignedCertificateTimestamp unsigned_sct;
+  unsigned_sct.timestamp_ms = prepared.timestamp_ms();
+  prepared.sct_input = sct_signing_input(unsigned_sct, prepared.entry);
+  prepared.issuer_cn = std::move(issuer_cn);
+  prepared.chain_valid = chain_valid;
   return prepared;
 }
 
@@ -76,7 +89,7 @@ SubmitResult CtLog::add_pre_chain(const x509::Certificate& precert, BytesView is
 }
 
 SignedCertificateTimestamp CtLog::speculative_sct(const PreparedSubmission& prepared) const {
-  return sign_sct(*signer_, log_id_, prepared.timestamp_ms(), prepared.entry);
+  return sign_sct(*signer_, log_id_, prepared.timestamp_ms(), prepared.sct_input);
 }
 
 SubmitResult CtLog::add_prepared(const PreparedSubmission& prepared,
@@ -112,15 +125,16 @@ SubmitResult CtLog::add_prepared(const PreparedSubmission& prepared,
 
   // Logs deduplicate resubmissions of the same (pre)certificate: return the
   // original SCT. (Requires stored bodies.)
+  const auto fingerprint_at = [this](std::uint64_t index) -> const crypto::Digest& {
+    return entries_[index].fingerprint;
+  };
   if (config_.store_bodies) {
-    const Bytes fp_bytes(prepared.fingerprint.begin(), prepared.fingerprint.end());
-    if (const auto it = dedup_.find(fp_bytes); it != dedup_.end()) {
+    if (const auto index = dedup_.find(prepared.fingerprint, fingerprint_at)) {
       metrics.dedup_hits.inc();
-      const LogEntry& existing = entries_[it->second];
+      const LogEntry& existing = entries_[*index];
       return {SubmitStatus::ok, existing.index,
               sign_sct(*signer_, log_id_, existing.timestamp_ms, existing.signed_entry)};
     }
-    dedup_[fp_bytes] = tree_.size();
   }
 
   if (!sct) sct = speculative_sct(prepared);
@@ -137,6 +151,9 @@ SubmitResult CtLog::add_prepared(const PreparedSubmission& prepared,
   if (config_.store_bodies) log_entry.signed_entry = prepared.entry;
   metrics.accepted.inc();
   entries_.push_back(std::move(log_entry));
+  if (config_.store_bodies) {
+    dedup_.insert(prepared.fingerprint, entries_.back().index, fingerprint_at);
+  }
   for (const Subscriber& subscriber : subscribers_) subscriber(*this, entries_.back());
   return {SubmitStatus::ok, entries_.back().index, std::move(sct)};
 }

@@ -84,10 +84,17 @@ Bytes sct_signing_input(const SignedCertificateTimestamp& sct, const SignedEntry
 
 SignedCertificateTimestamp sign_sct(const crypto::Signer& signer, const LogId& log_id,
                                     std::uint64_t timestamp_ms, const SignedEntry& entry) {
+  SignedCertificateTimestamp unsigned_sct;
+  unsigned_sct.timestamp_ms = timestamp_ms;
+  return sign_sct(signer, log_id, timestamp_ms, sct_signing_input(unsigned_sct, entry));
+}
+
+SignedCertificateTimestamp sign_sct(const crypto::Signer& signer, const LogId& log_id,
+                                    std::uint64_t timestamp_ms, BytesView signing_input) {
   SignedCertificateTimestamp sct;
   sct.log_id = log_id;
   sct.timestamp_ms = timestamp_ms;
-  sct.signature = signer.sign(sct_signing_input(sct, entry));
+  sct.signature = signer.sign(signing_input);
   return sct;
 }
 

@@ -8,6 +8,24 @@
 
 namespace ctwatch::sim {
 
+namespace {
+
+// basicConstraints CA:FALSE — gives every certificate a second extension
+// so the D-Trust extension-reordering bug has something to reorder.
+x509::Extension basic_constraints_end_entity() {
+  return x509::Extension{x509::oids::basic_constraints(), true, asn1::encode_sequence({})};
+}
+
+x509::Extension redaction_marker() {
+  return x509::Extension{x509::redaction_marker_oid(), false, asn1::encode_null()};
+}
+
+x509::Extension ct_poison() {
+  return x509::Extension{x509::oids::ct_poison(), true, asn1::encode_null()};
+}
+
+}  // namespace
+
 std::string to_string(IssuanceBug bug) {
   switch (bug) {
     case IssuanceBug::none:
@@ -35,6 +53,14 @@ CertificateAuthority::CertificateAuthority(std::string name, std::string issuer_
   issuer_dn_.common_name = std::move(issuer_cn);
   issuer_dn_.organization = name_;
   issuer_dn_.country = "US";
+  issuer_key_hash_ = crypto::Sha256::hash(signer_->public_key());
+  // What every precertificate of this CA shares (see prepare()).
+  x509::TbsCertificate shared;
+  shared.issuer = issuer_dn_;
+  shared.key_scheme = subject_key_->scheme();
+  shared.public_key = subject_key_->public_key();
+  shared.extensions = {basic_constraints_end_entity(), redaction_marker(), ct_poison()};
+  tbs_encoder_ = x509::TbsEncoder(std::move(shared));
 }
 
 x509::CertificateBuilder CertificateAuthority::base_builder(const IssuanceRequest& request,
@@ -45,10 +71,7 @@ x509::CertificateBuilder CertificateAuthority::base_builder(const IssuanceReques
       .subject_cn(request.subject_cn)
       .validity(request.not_before, request.not_after)
       .subject_key(*subject_key_);
-  // basicConstraints CA:FALSE — gives every certificate a second extension
-  // so the D-Trust extension-reordering bug has something to reorder.
-  builder.extension(x509::Extension{x509::oids::basic_constraints(), true,
-                                    asn1::encode_sequence({})});
+  builder.extension(basic_constraints_end_entity());
   for (const x509::SanEntry& san : request.sans) {
     if (san.kind == x509::SanEntry::Kind::dns) {
       builder.add_dns_san(san.dns_name);
@@ -77,26 +100,31 @@ PreparedIssuance CertificateAuthority::prepare(const IssuanceRequest& request, S
   // Precertificate: poisoned TBS signed by the CA. With redaction the
   // precertificate (and hence the log) only sees "?" labels.
   x509::CertificateBuilder builder = base_builder(request, serial);
-  if (request.redact_subdomains) {
-    builder.extension(
-        x509::Extension{x509::redaction_marker_oid(), false, asn1::encode_null()});
-  }
+  if (request.redact_subdomains) builder.extension(redaction_marker());
   prepared.full_tbs = builder.build_tbs();
   x509::TbsCertificate pre_tbs =
       request.redact_subdomains ? x509::redacted_tbs(prepared.full_tbs) : prepared.full_tbs;
-  pre_tbs.add_extension(
-      x509::Extension{x509::oids::ct_poison(), true, asn1::encode_null()});
+  pre_tbs.add_extension(ct_poison());
+  // The TBS is encoded once. The CA signs it with the poison, the logs
+  // sign it without (RFC 6962 §3.2; with redaction both are already
+  // redacted), and wrapped with the signature it is the certificate
+  // whose hash is the fingerprint.
+  x509::PrecertTbsDer der = tbs_encoder_.encode_precert(pre_tbs);
   prepared.precertificate.tbs = std::move(pre_tbs);
-  prepared.precertificate.signature = signer_->sign(prepared.precertificate.tbs.encode());
+  prepared.precertificate.signature = signer_->sign(der.tbs);
+  const crypto::SignatureBlob& signature = prepared.precertificate.signature;
 
   // The add-pre-chain submission, once for every log, and each log's SCT.
   const bool check_chain = std::any_of(request.logs.begin(), request.logs.end(),
                                        [](const ct::CtLog* log) {
                                          return log->config().verify_submissions;
                                        });
+  std::optional<bool> chain_valid;
+  if (check_chain) chain_valid = crypto::verify_signature(public_key(), der.tbs, signature);
   PreChainSubmission& pre_chain = prepared.pre_chain;
-  pre_chain.submission =
-      ct::prepare_submission(prepared.precertificate, public_key(), now, check_chain);
+  pre_chain.submission = ct::prepare_submission(
+      ct::SignedEntry{ct::EntryType::precert_entry, std::move(der.log_entry), issuer_key_hash_},
+      x509::encode_certificate(der.tbs, signature), issuer_dn_.common_name, now, chain_valid);
   pre_chain.speculative_scts.reserve(request.logs.size());
   for (const ct::CtLog* log : request.logs) {
     pre_chain.speculative_scts.push_back(log->speculative_sct(pre_chain.submission));

@@ -31,16 +31,22 @@ TimelineMetrics& timeline_metrics() {
 }
 
 // Certificates drawn before one parallel prepare: enough to keep every
-// worker busy, few enough that the prepared batch (about a kilobyte per
-// certificate) stays a small, fixed share of memory.
+// worker busy, few enough that the two batches in flight (about a
+// kilobyte per certificate) stay a small, fixed share of memory.
 constexpr std::size_t kPrepareBatch = 1024;
-// Certificates per parallel_for task.
+// Certificates per prepare task.
 constexpr std::size_t kPrepareGrain = 8;
 
 /// A drawn issuance: all the timeline's request depends on.
 struct Draw {
   SimTime when;
   std::uint64_t serial = 0;
+};
+
+/// One CA's prepared issuances, in draw order, and the logs they go to.
+struct PreparedBatch {
+  std::vector<ct::CtLog*> logs;
+  std::vector<PreChainSubmission> submissions;
 };
 
 IssuanceRequest timeline_request(const Draw& draw, const std::vector<ct::CtLog*>& logs) {
@@ -107,37 +113,69 @@ TimelineStats TimelineSimulator::run() {
 
   std::vector<Draw> drawn;
   drawn.reserve(kPrepareBatch);
-  std::vector<PreChainSubmission> prepared;
+  // The batch prepared last, integrated while the next one prepares. The
+  // two swap roles each round, so their storage is allocated once.
+  PreparedBatch ready;
+  PreparedBatch next;
+
+  // Step 3 for a prepared batch: submit serially in draw order. Step 4 is
+  // skipped: the timeline's analyses read only the logs.
+  const auto integrate = [&](PreparedBatch& batch) {
+    const auto start = std::chrono::steady_clock::now();
+    for (PreChainSubmission& pre_chain : batch.submissions) {
+      const SubmissionOutcome outcome = CertificateAuthority::submit(pre_chain, batch.logs);
+      ++stats.issued;
+      stats.log_submissions += batch.logs.size();
+      stats.overloaded += outcome.failed_logs.size();
+      metrics.issued.inc();
+      metrics.log_submissions.inc(batch.logs.size());
+      metrics.overloaded.inc(outcome.failed_logs.size());
+    }
+    batch.submissions.clear();
+    integrate_s += seconds_since(start);
+  };
 
   for (const CaTimeline& schedule : standard_timeline()) {
     CTWATCH_SPAN("sim.timeline.ca");
     CertificateAuthority& ca = ecosystem_->ca(schedule.ca);
     const std::vector<ct::CtLog*> logs = ecosystem_->logs_of(schedule.ca);
     Rng ca_rng = rng.fork();
-    const std::uint64_t ca_issued_before = stats.issued;
+    std::uint64_t ca_drawn = 0;
 
-    // Steps 2 and 3 for everything drawn so far: prepare in parallel, then
-    // submit serially in draw order. Step 4 is skipped: the timeline's
-    // analyses read only the logs.
+    // Step 2 for everything drawn so far, launched on the pool while the
+    // caller integrates the batch prepared before it. Preparing reads only
+    // the CA's and the logs' keys and configs; integrating writes only the
+    // logs' trees, entries and capacity counters.
     const auto issue_drawn = [&] {
+      next.logs = logs;
+      next.submissions.resize(drawn.size());
+      const par::ChunkPlan plan = par::ChunkPlan::over(drawn.size(), kPrepareGrain);
+      par::TaskGroup group(plan.chunks > 1 ? par::TaskPool::global() : nullptr);
       auto start = std::chrono::steady_clock::now();
-      prepared.resize(drawn.size());
-      par::parallel_for(drawn.size(), kPrepareGrain, [&](std::size_t i) {
-        prepared[i] =
-            ca.prepare(timeline_request(drawn[i], logs), drawn[i].when, drawn[i].serial).pre_chain;
-      });
-      prepare_s += seconds_since(start);
-      start = std::chrono::steady_clock::now();
-      for (PreChainSubmission& pre_chain : prepared) {
-        const SubmissionOutcome outcome = CertificateAuthority::submit(pre_chain, logs);
-        ++stats.issued;
-        stats.log_submissions += logs.size();
-        stats.overloaded += outcome.failed_logs.size();
-        metrics.issued.inc();
-        metrics.log_submissions.inc(logs.size());
-        metrics.overloaded.inc(outcome.failed_logs.size());
+      for (std::size_t c = 0; c < plan.chunks; ++c) {
+        group.run([&ca, &drawn, &next, range = plan.chunk(c)] {
+          for (std::size_t i = range.begin; i < range.end; ++i) {
+            next.submissions[i] =
+                ca.prepare(timeline_request(drawn[i], next.logs), drawn[i].when, drawn[i].serial)
+                    .pre_chain;
+          }
+        });
       }
-      integrate_s += seconds_since(start);
+      prepare_s += seconds_since(start);
+      try {
+        integrate(ready);
+      } catch (...) {
+        // The prepare tasks reference this frame: let them finish first.
+        try {
+          group.wait();
+        } catch (...) {
+        }
+        throw;
+      }
+      start = std::chrono::steady_clock::now();
+      group.wait();
+      prepare_s += seconds_since(start);
+      std::swap(ready, next);
       drawn.clear();
     };
 
@@ -170,14 +208,16 @@ TimelineStats TimelineSimulator::run() {
           const SimTime when =
               SimTime{day * 86400 + static_cast<std::int64_t>(ca_rng.below(86400))};
           drawn.push_back({when, ca.next_serial()});
+          ++ca_drawn;
           if (drawn.size() == kPrepareBatch) issue_drawn();
         }
       }
     }
     issue_drawn();
     obs::log_info("sim.timeline", "ca schedule complete",
-                  {{"ca", schedule.ca}, {"issued", stats.issued - ca_issued_before}});
+                  {{"ca", schedule.ca}, {"issued", ca_drawn}});
   }
+  integrate(ready);
   metrics.prepare_us.observe(prepare_s * 1e6);
   metrics.integrate_us.observe(integrate_s * 1e6);
   metrics.draw_us.observe((seconds_since(run_start) - prepare_s - integrate_s) * 1e6);

@@ -65,6 +65,8 @@ void decode_spki(BytesView der, crypto::SignatureScheme& scheme, Bytes& public_k
   public_key.assign(key.begin(), key.end());
 }
 
+void append(Bytes& out, BytesView der) { out.insert(out.end(), der.begin(), der.end()); }
+
 Bytes encode_extension(const Extension& ext) {
   std::vector<Bytes> parts;
   parts.push_back(asn1::encode_oid(ext.oid));
@@ -248,10 +250,13 @@ std::vector<std::string> TbsCertificate::dns_names() const {
   return out;
 }
 
-Bytes Certificate::encode() const {
-  return asn1::encode_sequence(
-      {tbs.encode(), encode_sig_alg(signature.scheme), asn1::encode_bit_string(signature.data)});
+Bytes encode_certificate(BytesView tbs_der, const crypto::SignatureBlob& signature) {
+  return asn1::encode_sequence({Bytes(tbs_der.begin(), tbs_der.end()),
+                                encode_sig_alg(signature.scheme),
+                                asn1::encode_bit_string(signature.data)});
 }
+
+Bytes Certificate::encode() const { return encode_certificate(tbs.encode(), signature); }
 
 Certificate Certificate::decode(BytesView der) {
   asn1::Parser outer(der);
@@ -284,6 +289,64 @@ Bytes precert_tbs_bytes(const TbsCertificate& tbs) {
   stripped.remove_extension(oids::ct_poison());
   stripped.remove_extension(oids::ct_sct_list());
   return stripped.encode();
+}
+
+TbsEncoder::TbsEncoder(TbsCertificate shared)
+    : shared_(std::move(shared)),
+      sig_alg_(encode_sig_alg(shared_.key_scheme)),
+      issuer_(shared_.issuer.encode()),
+      spki_(encode_spki(shared_.key_scheme, shared_.public_key)) {
+  extensions_.reserve(shared_.extensions.size());
+  for (const Extension& ext : shared_.extensions) extensions_.push_back(encode_extension(ext));
+}
+
+PrecertTbsDer TbsEncoder::encode_precert(const TbsCertificate& tbs) const {
+  // The fields before the extensions, in TbsCertificate::encode order.
+  static const Bytes version = asn1::encode_explicit(0, asn1::encode_integer(2));  // v3
+  Bytes fields = version;
+  append(fields, asn1::encode_integer_unsigned(tbs.serial));
+  // A shared field is appended from the template's bytes, without a copy.
+  append(fields, tbs.key_scheme == shared_.key_scheme ? BytesView{sig_alg_}
+                                                      : BytesView{encode_sig_alg(tbs.key_scheme)});
+  append(fields,
+         tbs.issuer == shared_.issuer ? BytesView{issuer_} : BytesView{tbs.issuer.encode()});
+  append(fields, asn1::encode_sequence({asn1::encode_utc_time(tbs.not_before),
+                                        asn1::encode_utc_time(tbs.not_after)}));
+  append(fields, tbs.subject.encode());
+  const bool shared_key =
+      tbs.key_scheme == shared_.key_scheme && tbs.public_key == shared_.public_key;
+  append(fields, shared_key ? BytesView{spki_}
+                            : BytesView{encode_spki(tbs.key_scheme, tbs.public_key)});
+
+  // Each extension once, into the full list and, unless it is the poison
+  // or an SCT list, into the log's list.
+  Bytes all_extensions;
+  Bytes log_extensions;
+  bool any_log_extension = false;
+  for (const Extension& ext : tbs.extensions) {
+    const auto shared = std::find(shared_.extensions.begin(), shared_.extensions.end(), ext);
+    Bytes fresh;
+    BytesView der;
+    if (shared == shared_.extensions.end()) {
+      fresh = encode_extension(ext);
+      der = fresh;
+    } else {
+      der = extensions_[static_cast<std::size_t>(shared - shared_.extensions.begin())];
+    }
+    append(all_extensions, der);
+    if (ext.oid != oids::ct_poison() && ext.oid != oids::ct_sct_list()) {
+      append(log_extensions, der);
+      any_log_extension = true;
+    }
+  }
+  const auto assemble = [&fields](const Bytes& extensions, bool any) {
+    if (!any) return asn1::tlv(asn1::kTagSequence, fields);
+    Bytes body = fields;
+    append(body, asn1::encode_explicit(3, asn1::tlv(asn1::kTagSequence, extensions)));
+    return asn1::tlv(asn1::kTagSequence, body);
+  };
+  return PrecertTbsDer{assemble(all_extensions, !tbs.extensions.empty()),
+                       assemble(log_extensions, any_log_extension)};
 }
 
 Bytes serial_bytes(std::uint64_t serial) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "ctwatch/core/ctwatch.hpp"
+#include "log_evolution_oracle.hpp"
 
 namespace ctwatch::core {
 namespace {
@@ -88,6 +89,76 @@ TEST_F(EvolutionTest, DeduplicatesAcrossLogs) {
   }
   const auto& series = report.cumulative_by_ca.at("DigiCert");
   EXPECT_EQ(series.back() * 4, digicert_entries);
+}
+
+void expect_same_report(const LogEvolutionReport& got, const LogEvolutionReport& want) {
+  EXPECT_EQ(got.months, want.months);
+  EXPECT_EQ(got.cumulative_by_ca, want.cumulative_by_ca);
+  EXPECT_EQ(got.monthly_share_by_ca, want.monthly_share_by_ca);
+  EXPECT_EQ(got.focus_month, want.focus_month);
+  EXPECT_EQ(got.ca_log_matrix, want.ca_log_matrix);
+  EXPECT_EQ(got.matrix_sparsity, want.matrix_sparsity);
+  EXPECT_EQ(got.le_log_share, want.le_log_share);
+  EXPECT_EQ(got.top5_share, want.top5_share);
+  EXPECT_EQ(got.overload_rejections, want.overload_rejections);
+}
+
+// The string-free analysis against the string-keyed one it replaced
+// (log_evolution_oracle.hpp): every report field, for three timeline
+// seeds, two busy focus months and an empty one.
+TEST(LogEvolutionOracleTest, MatchesTheStringKeyedOracle) {
+  for (const std::uint64_t seed : {7, 8, 9}) {
+    sim::Ecosystem ecosystem(bulk_options(seed));
+    sim::TimelineOptions options;
+    options.scale = 1.0 / 20000.0;
+    sim::TimelineSimulator(ecosystem, options).run();
+    for (const std::string focus : {"2018-04", "2018-03", "2012-01"}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " focus " + focus);
+      const LogEvolutionReport report = LogEvolutionStudy(ecosystem).run(focus);
+      EXPECT_FALSE(report.months.empty());
+      expect_same_report(report, oracle_log_evolution(ecosystem, focus));
+    }
+  }
+}
+
+// Certificates of an issuer outside standard_cas() make the "other" row.
+// These logs keep no bodies, so they do not deduplicate: a certificate
+// logged in April on one log and in May on another counts once, in April,
+// whichever of the two logs is read first.
+TEST(LogEvolutionOracleTest, MatchesTheOracleOnOtherIssuersAndRepeats) {
+  sim::Ecosystem ecosystem(bulk_options(11));
+  sim::TimelineOptions options;
+  options.start = "2018-03-01";
+  options.scale = 1.0 / 20000.0;
+  sim::TimelineSimulator(ecosystem, options).run();
+  sim::CertificateAuthority rogue("Rogue CA", "Rogue Issuing CA",
+                                  crypto::SignatureScheme::hmac_sha256_simulated);
+  ct::CtLog& pilot = ecosystem.log("Google Pilot");
+  ct::CtLog& icarus = ecosystem.log("Google Icarus");
+  const SimTime april = SimTime::parse("2018-04-10");
+  const SimTime may = SimTime::parse("2018-05-15");
+  for (int i = 0; i < 6; ++i) {
+    sim::IssuanceRequest request;
+    request.subject_cn = "rogue" + std::to_string(i) + ".example.net";
+    request.sans = {x509::SanEntry::dns(request.subject_cn)};
+    request.not_before = april;
+    request.not_after = april + 90 * 86400;
+    const x509::Certificate precertificate =
+        rogue.issue(request, april).precertificate;  // logged nowhere yet
+    ct::CtLog& first = i % 2 == 0 ? pilot : icarus;
+    ct::CtLog& second = i % 2 == 0 ? icarus : pilot;
+    ASSERT_EQ(first.add_pre_chain(precertificate, rogue.public_key(), april + i).status,
+              ct::SubmitStatus::ok);
+    ASSERT_EQ(second.add_pre_chain(precertificate, rogue.public_key(), may + i).status,
+              ct::SubmitStatus::ok);
+  }
+  for (const std::string focus : {"2018-04", "2018-05", "2012-01"}) {
+    SCOPED_TRACE("focus " + focus);
+    const LogEvolutionReport report = LogEvolutionStudy(ecosystem).run(focus);
+    ASSERT_TRUE(report.cumulative_by_ca.count("other"));
+    EXPECT_EQ(report.cumulative_by_ca.at("other").back(), 6u);
+    expect_same_report(report, oracle_log_evolution(ecosystem, focus));
+  }
 }
 
 TEST_F(EvolutionTest, RendersAreNonEmpty) {

@@ -80,6 +80,54 @@ TEST(HmacTest, LongKeyIsHashedFirst) {
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
+// SimulatedSigner keeps the key's HMAC midstates: through the signer, the
+// RFC 4231 keys must still give the RFC's MACs (cases 1, 2 and 6, the
+// 131-byte key that is hashed first).
+TEST(SimulatedSignerTest, Rfc4231VectorsThroughTheSigner) {
+  struct Vector {
+    Bytes key;
+    std::string message;
+    std::string mac;
+  };
+  const std::vector<Vector> vectors = {
+      {Bytes(20, 0x0b), "Hi There",
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {to_bytes("Jefe"), "what do ya want for nothing?",
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {Bytes(131, 0xaa), "Test Using Larger Than Block-Size Key - Hash Key First",
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+  };
+  for (const Vector& v : vectors) {
+    const SimulatedSigner signer(v.key);
+    const SignatureBlob sig = signer.sign(to_bytes(v.message));
+    EXPECT_EQ(sig.scheme, SignatureScheme::hmac_sha256_simulated);
+    EXPECT_EQ(hex_encode(sig.data), v.mac) << v.message;
+    EXPECT_EQ(signer.public_key(), v.key);
+    EXPECT_TRUE(verify_signature(v.key, to_bytes(v.message), sig));
+  }
+}
+
+// Randomized differential against the one-shot hmac_sha256: every message
+// length 0..200 crosses the 55/56/64-byte padding edges of both the inner
+// and the outer hash, under keys shorter than, equal to and longer than a
+// block. One signer signs every message, so its midstates must not drift.
+TEST(SimulatedSignerTest, MatchesHmacAtEveryLengthTo200) {
+  Rng rng(4231);
+  const auto next_byte = [&rng] { return static_cast<std::uint8_t>(rng()); };
+  for (const std::size_t key_size : {0, 1, 32, 63, 64, 65, 131}) {
+    Bytes key(key_size);
+    for (std::uint8_t& b : key) b = next_byte();
+    const SimulatedSigner signer(key);
+    for (std::size_t length = 0; length <= 200; ++length) {
+      Bytes message(length);
+      for (std::uint8_t& b : message) b = next_byte();
+      const Digest want = hmac_sha256(key, message);
+      ASSERT_EQ(signer.sign(message).data, Bytes(want.begin(), want.end()))
+          << "key " << key_size << " message " << length;
+    }
+  }
+}
+
 TEST(HkdfTest, ExpandsDeterministically) {
   const Digest prk = hmac_sha256(to_bytes("salt"), to_bytes("ikm"));
   const Bytes a = hkdf_expand(BytesView{prk.data(), prk.size()}, to_bytes("info"), 42);

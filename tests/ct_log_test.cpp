@@ -89,6 +89,47 @@ TEST_P(CtLogTest, DeduplicatesResubmission) {
   EXPECT_TRUE(verify_sct(*again.sct, entry, log_->public_key()));
 }
 
+// CtLog's dedup index grows each time it would become more than half
+// full (at 8, 16, 32, ... entries). Every certificate is resubmitted right
+// after it is logged, with the certificates logged at half its index and
+// first, so each growth has resubmissions of keys recorded before it and
+// after it. Each must return the original index and SCT and add nothing.
+TEST(CtLogDedupTest, ResubmissionsAcrossIndexGrowths) {
+  sim::CertificateAuthority ca("Dedup CA", "Dedup Issuing CA",
+                               SignatureScheme::hmac_sha256_simulated);
+  LogConfig config;
+  config.name = "Dedup Log";
+  config.scheme = SignatureScheme::hmac_sha256_simulated;
+  CtLog log(config);
+  const SimTime now = SimTime::parse("2018-04-01");
+  std::vector<sim::IssuanceResult> issued;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    sim::IssuanceRequest request;
+    request.subject_cn = "host" + std::to_string(i) + ".example.org";
+    request.sans = {x509::SanEntry::dns(request.subject_cn)};
+    request.not_before = now;
+    request.not_after = now + 90 * 86400;
+    request.logs = {&log};
+    issued.push_back(ca.issue(request, now + static_cast<std::int64_t>(i)));
+    ASSERT_EQ(issued.back().scts.size(), 1u);
+    for (const std::uint64_t original : {i, i / 2, std::uint64_t{0}}) {
+      const SubmitResult again =
+          log.add_pre_chain(issued[original].precertificate, ca.public_key(), now + 86400);
+      ASSERT_EQ(again.status, SubmitStatus::ok) << i << " " << original;
+      EXPECT_EQ(again.index, original);
+      ASSERT_TRUE(again.sct);
+      EXPECT_EQ(*again.sct, issued[original].scts[0]);
+    }
+    ASSERT_EQ(log.tree_size(), i + 1);
+  }
+  // The final certificates are other certificates: each is a new entry.
+  const SubmitResult final_added =
+      log.add_chain(issued[5].final_certificate, ca.public_key(), now + 86400);
+  EXPECT_EQ(final_added.index, 300u);
+  EXPECT_EQ(log.add_chain(issued[5].final_certificate, ca.public_key(), now).index, 300u);
+  EXPECT_EQ(log.tree_size(), 301u);
+}
+
 TEST_P(CtLogTest, SthSignsCurrentTree) {
   ca_.issue(request("a.example.org"), now_);
   ca_.issue(request("b.example.org"), now_ + 60);

@@ -503,7 +503,7 @@ TEST(DigestIndexTest, FirstOccurrenceWinsThroughGrowth) {
   const auto key_of = [&keys](std::uint64_t position) -> const crypto::Digest& {
     return keys[static_cast<std::size_t>(position)];
   };
-  DigestIndex index;
+  ct::DigestIndex index;
   EXPECT_EQ(index.find(keys[0], key_of), std::nullopt);
   for (std::uint64_t i = 0; i < keys.size(); ++i) index.insert(keys[i], i, key_of);
   for (std::uint64_t i = 0; i < keys.size(); ++i) {

@@ -200,6 +200,60 @@ TEST(IssuanceStepsTest, IssueIsPrepareSubmitFinalizeByteForByte) {
   }
 }
 
+// prepare() encodes the precertificate TBS once and splices the log entry
+// and the certificate DER from it. Every byte it makes must equal what the
+// reference encoders make of the same precertificate: TbsCertificate::
+// encode (the CA signature), precert_tbs_bytes (the entry), Certificate::
+// fingerprint, merkle_leaf_bytes and sct_signing_input (every SCT).
+TEST(IssuanceStepsTest, PrepareMatchesTheReferenceEncodings) {
+  IssuanceWorld world;
+  const SimTime now = SimTime::parse("2018-03-20");
+  const auto timestamp_ms = static_cast<std::uint64_t>(now.unix_seconds()) * 1000;
+  int cases = 0;
+  for (const IssuanceBug bug :
+       {IssuanceBug::none, IssuanceBug::san_reorder, IssuanceBug::extension_reorder,
+        IssuanceBug::name_swap, IssuanceBug::stale_sct_reissue}) {
+    for (const bool redact : {false, true}) {
+      for (const std::size_t log_index : {0, 1}) {  // the open and the verifying log
+        ct::CtLog& log = *world.logs[log_index];
+        SCOPED_TRACE(to_string(bug) + (redact ? " redacted " : " ") + log.name());
+        IssuanceRequest request = world.request(bug, redact, now);
+        request.logs = {&log};
+        const PreparedIssuance prepared = world.ca.prepare(request, now, world.ca.next_serial());
+        const x509::Certificate& precertificate = prepared.precertificate;
+        const ct::PreparedSubmission& submission = prepared.pre_chain.submission;
+        const ct::SignedEntry entry = ct::make_precert_entry(precertificate, world.ca.public_key());
+
+        EXPECT_EQ(precertificate.signature, world.ca.signer().sign(precertificate.tbs.encode()));
+        EXPECT_EQ(submission.entry.type, ct::EntryType::precert_entry);
+        EXPECT_EQ(submission.entry.data, x509::precert_tbs_bytes(precertificate.tbs));
+        EXPECT_EQ(submission.entry.data, entry.data);
+        EXPECT_EQ(submission.entry.issuer_key_hash, entry.issuer_key_hash);
+        EXPECT_EQ(submission.fingerprint, precertificate.fingerprint());
+        EXPECT_EQ(submission.leaf_hash, ct::leaf_hash(ct::merkle_leaf_bytes(timestamp_ms, entry)));
+        ct::SignedCertificateTimestamp unsigned_sct;
+        unsigned_sct.timestamp_ms = timestamp_ms;
+        EXPECT_EQ(submission.sct_input, ct::sct_signing_input(unsigned_sct, entry));
+        EXPECT_EQ(submission.issuer_cn, precertificate.tbs.issuer.common_name);
+        EXPECT_EQ(submission.chain_valid, log.config().verify_submissions
+                                              ? std::optional<bool>(true)
+                                              : std::nullopt);
+
+        ASSERT_EQ(prepared.pre_chain.speculative_scts.size(), 1u);
+        const ct::SignedCertificateTimestamp& sct = prepared.pre_chain.speculative_scts[0];
+        EXPECT_EQ(sct, log.speculative_sct(ct::prepare_submission(
+                           precertificate, world.ca.public_key(), now, true)));
+        EXPECT_EQ(sct.log_id, log.log_id());
+        EXPECT_EQ(sct.timestamp_ms, timestamp_ms);
+        EXPECT_TRUE(sct.extensions.empty());
+        EXPECT_TRUE(ct::verify_sct(sct, entry, log.public_key()));
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 20);
+}
+
 // ---------- ecosystem ----------
 
 TEST(EcosystemTest, StandardRosterLoads) {

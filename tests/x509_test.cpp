@@ -216,6 +216,60 @@ TEST(PrecertTest, ExtensionReorderChangesCoveredBytes) {
   EXPECT_NE(precert_tbs_bytes(tbs), before);
 }
 
+// TbsEncoder reuses the template's DER for equal fields and extensions and
+// encodes the rest, so both outputs equal the reference encoders for TBSes
+// that share everything, some things or nothing with the template, and
+// both decode back to the TBS (the log's without poison and SCT list).
+TEST(TbsEncoderTest, PrecertPairMatchesReferenceAndRoundTrips) {
+  const auto subject = test_signer("tbs-encoder-subject");
+  const Extension poison{oids::ct_poison(), true, asn1::encode_null()};
+  const Extension basic{oids::basic_constraints(), true, asn1::encode_sequence({})};
+  const Extension sct_list{oids::ct_sct_list(), false, Bytes{0x00, 0x00}};
+  TbsCertificate shared = base_builder(*subject).build_tbs();
+  shared.extensions = {basic, poison};
+  const TbsEncoder encoder(shared);
+
+  std::vector<TbsCertificate> cases;
+  CertificateBuilder builder = base_builder(*subject);
+  builder.extension(basic).add_dns_san("www.example.org").add_dns_san("api.example.org");
+  TbsCertificate tbs = builder.build_tbs();
+  cases.push_back(tbs);  // shares all but the SAN; no poison
+  tbs.add_extension(poison);
+  cases.push_back(tbs);  // a precertificate
+  std::swap(tbs.extensions[0], tbs.extensions[1]);
+  cases.push_back(tbs);  // reordered extensions
+  tbs.add_extension(sct_list);
+  cases.push_back(tbs);  // poison and an SCT list
+  tbs.issuer.common_name = "Another Issuing CA";
+  tbs.key_scheme = SignatureScheme::hmac_sha256_simulated;
+  tbs.public_key = Bytes(32, 0x5a);
+  cases.push_back(tbs);  // issuer, scheme and key differ
+  tbs.extensions = {poison};
+  cases.push_back(tbs);  // nothing left for the log's [3]
+  tbs.extensions.clear();
+  cases.push_back(tbs);  // no extensions at all
+
+  const TbsEncoder no_template;  // shares only default-constructed fields
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    const TbsCertificate& want = cases[i];
+    const PrecertTbsDer der = encoder.encode_precert(want);
+    EXPECT_EQ(der.tbs, want.encode());
+    EXPECT_EQ(der.log_entry, precert_tbs_bytes(want));
+    const PrecertTbsDer plain = no_template.encode_precert(want);
+    EXPECT_EQ(plain.tbs, der.tbs);
+    EXPECT_EQ(plain.log_entry, der.log_entry);
+    EXPECT_EQ(TbsCertificate::decode(der.tbs), want);
+    TbsCertificate stripped = want;
+    stripped.remove_extension(oids::ct_poison());
+    stripped.remove_extension(oids::ct_sct_list());
+    EXPECT_EQ(TbsCertificate::decode(der.log_entry), stripped);
+
+    const Certificate cert{want, subject->sign(der.tbs)};
+    EXPECT_EQ(encode_certificate(der.tbs, cert.signature), cert.encode());
+  }
+}
+
 TEST(ExtensionTest, FindAndRemove) {
   const auto subject = test_signer("ext-subject");
   CertificateBuilder builder = base_builder(*subject);
