@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
       return 3;
     }
     storage::LogStore& store = *open.store;
-    ct::RootAccumulator probe = store.accumulator();
+    ct::RootAccumulator probe = store.cascade().accumulator();
     while (store.tree_size() < options.leaves) {
       storage::BatchCommit batch;
       const std::uint64_t count = std::min(options.batch, options.leaves - store.tree_size());

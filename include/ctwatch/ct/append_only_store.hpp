@@ -1,13 +1,14 @@
-// ctwatch::logsvc — append-only store with wait-free readers.
+// ctwatch::ct — append-only store with wait-free readers.
 //
 // The storage that lets get-sth / proof / get-entries traffic run without
-// ever touching the sequencer's write path. One writer (the sequencer)
-// appends into fixed-size chunks and release-publishes the element count
-// once a batch is sealed; any number of readers acquire-load the count
-// and then address elements below it directly. Elements below the
-// published size are immutable, chunks never move (no reallocation, ever),
-// so a reader holds no lock and is never invalidated. ct::DigestIndex
-// (ct/digest_index.hpp) is the hash index over such a store.
+// ever touching a log's write path. One writer (the sequencer) appends
+// into fixed-size chunks and release-publishes the element count once a
+// batch is sealed; any number of readers acquire-load the count and then
+// address elements below it directly. Elements below the published size
+// are immutable, chunks never move (no reallocation, ever), so a reader
+// holds no lock and is never invalidated. ct::TileCascade (merkle.hpp)
+// keeps its upper tile levels in such stores, and ct::DigestIndex
+// (ct/digest_index.hpp) is the hash index over one.
 #pragma once
 
 #include <algorithm>
@@ -16,11 +17,12 @@
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <vector>
 
-#include "ctwatch/logsvc/queue.hpp"
+namespace ctwatch::ct {
 
-namespace ctwatch::logsvc {
+/// Why a bounded append was refused, item untouched: `full` at capacity,
+/// `closed` at teardown (logsvc's BoundedQueue only).
+enum class PushResult : std::uint8_t { ok, full, closed };
 
 /// Single-writer / multi-reader append-only sequence of T.
 ///
@@ -101,4 +103,4 @@ class AppendOnlyStore {
   std::atomic<std::uint64_t> size_{0};   // published watermark
 };
 
-}  // namespace ctwatch::logsvc
+}  // namespace ctwatch::ct

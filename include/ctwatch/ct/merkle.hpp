@@ -19,9 +19,13 @@
 
 #include <cstdint>
 #include <optional>
+#include <memory>
 #include <span>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "ctwatch/ct/append_only_store.hpp"
 #include "ctwatch/crypto/sha256.hpp"
 
 namespace ctwatch::ct {
@@ -40,20 +44,6 @@ Digest empty_tree_root();
 /// and ctwatch::storage's pages: a tile is a perfect subtree of height 8.
 inline constexpr unsigned kTileHeight = 8;
 inline constexpr std::uint64_t kTileWidth = std::uint64_t{1} << kTileHeight;
-
-/// The hash tiles above level 0, resident: `levels[L-1]` holds every
-/// completed level-L entry, where entry e of level L is the root of the
-/// perfect subtree over leaves [e·256^L, (e+1)·256^L). A TileLevels is
-/// itself a RootAccumulator::add sink, so appending keeps it current
-/// without hashing anything the accumulator does not already hash.
-struct TileLevels {
-  std::vector<std::vector<Digest>> levels;
-
-  void operator()(unsigned level, const Digest& root) {
-    if (levels.size() < level) levels.resize(level);
-    levels[level - 1].push_back(root);
-  }
-};
 
 namespace detail {
 /// Largest power of two strictly less than n (n >= 2).
@@ -184,11 +174,83 @@ class RootAccumulator {
   std::uint64_t size_ = 0;
 };
 
+/// One log's Merkle state above level 0: the RootAccumulator plus every
+/// completed tile entry of levels >= 1 (entry e of level L is the root of
+/// leaves [e·256^L, (e+1)·256^L)), which the accumulator's sink yields at
+/// no extra hashing. Each level is an AppendOnlyStore with one tile per
+/// chunk, so a tile's run of entries is contiguous. One writer folds;
+/// readers call level_size() and entries() without a lock. Every writer
+/// call publishes the levels it touched before it returns, so an owner
+/// that publishes its level-0 leaves afterwards (MerkleTree's vector,
+/// LogStore's tail, LogService's chunked store) shows readers every tile
+/// entry below any leaf count they see.
+class TileCascade {
+ public:
+  /// Leaves a cascade holds: a default AppendOnlyStore's capacity (2^15
+  /// chunks of 2^14), so it matches LogService's leaf store.
+  static constexpr std::uint64_t kLeafCapacity = std::uint64_t{1} << 29;
+
+  /// One fold, computed without touching the cascade.
+  struct Staged {
+    std::uint64_t base = 0;                              ///< size() it started from
+    std::vector<Digest> leaves;                          ///< the leaves folded
+    RootAccumulator accumulator;                         ///< the state after them
+    std::vector<std::pair<unsigned, Digest>> completed;  ///< (level, entry), in order
+    Digest root{};                                       ///< accumulator.root(), hashed once
+    [[nodiscard]] std::uint64_t size() const { return accumulator.size(); }
+  };
+
+  /// One store per level a tree of kLeafCapacity leaves reaches.
+  TileCascade();
+
+  // Writer. append() is the serial fold (MerkleTree, recovery); stage()
+  // folds on a copy and apply() makes that fold current, throwing
+  // std::logic_error for a fold of a stale base. Folding past
+  // kLeafCapacity throws std::length_error.
+  void append(const Digest& leaf) {
+    if (size() >= kLeafCapacity) throw std::length_error("TileCascade: full");
+    accumulator_.add(leaf, [this](unsigned level, const Digest& root) { push(level, root); });
+  }
+  [[nodiscard]] Staged stage(std::vector<Digest> leaves) const;
+  void apply(const Staged& staged);
+  /// Recovery without the leaves: restore_entry() loads every upper entry
+  /// a checkpoint implies (size >> 8·L of level L), then restore_frontier()
+  /// adopts the checkpoint's frontier.
+  void restore_entry(unsigned level, const Digest& root) { push(level, root); }
+  void restore_frontier(RootAccumulator accumulator) { accumulator_ = std::move(accumulator); }
+
+  [[nodiscard]] std::uint64_t size() const { return accumulator_.size(); }
+  [[nodiscard]] Digest root() const { return accumulator_.root(); }
+  [[nodiscard]] const RootAccumulator& accumulator() const { return accumulator_; }
+
+  // Readers (any thread).
+  [[nodiscard]] unsigned levels() const { return static_cast<unsigned>(levels_.size()); }
+  [[nodiscard]] std::uint64_t level_size(unsigned level) const {
+    return levels_[level - 1]->size();
+  }
+  /// Published entries [first, first + count) of `level` >= 1, inside one
+  /// tile; nullptr when the level is absent or the run is not published.
+  [[nodiscard]] const Digest* entries(unsigned level, std::uint64_t first,
+                                      std::uint64_t count) const {
+    if (level == 0 || level > levels() || first + count > level_size(level)) return nullptr;
+    return &levels_[level - 1]->at(first);
+  }
+
+ private:
+  void push(unsigned level, const Digest& root) {
+    (void)levels_[level - 1]->append(root);  // kLeafCapacity bounds every level
+    levels_[level - 1]->publish();
+  }
+
+  std::vector<std::unique_ptr<AppendOnlyStore<Digest>>> levels_;
+  RootAccumulator accumulator_;
+};
+
 /// An append-only Merkle tree over pre-hashed leaves.
 ///
-/// Appends are O(log n) amortized (via RootAccumulator, whose sink keeps
-/// the upper tile levels); proofs and historic roots are O(log n), served
-/// by ct/tiled.hpp over the leaf vector plus those levels.
+/// Appends are O(log n) amortized (one TileCascade fold each); proofs and
+/// historic roots are O(log n), served by ct/tiled.hpp over the leaf
+/// vector plus the cascade's upper levels.
 class MerkleTree {
  public:
   /// Appends a leaf (already leaf-hashed) and returns its index.
@@ -203,7 +265,7 @@ class MerkleTree {
 
   /// Root of the current tree. The empty tree's root is SHA-256 of the
   /// empty string, per RFC 6962.
-  [[nodiscard]] Digest root() const { return accumulator_.root(); }
+  [[nodiscard]] Digest root() const { return cascade_.root(); }
   /// Root of the first `n` leaves (n <= size()).
   [[nodiscard]] Digest root_at(std::uint64_t n) const;
 
@@ -218,8 +280,7 @@ class MerkleTree {
 
  private:
   std::vector<Digest> leaves_;
-  TileLevels upper_;
-  RootAccumulator accumulator_;
+  TileCascade cascade_;
 };
 
 /// Verifies an RFC 6962 inclusion proof.

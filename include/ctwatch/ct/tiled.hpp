@@ -1,14 +1,16 @@
 // Tile-addressed RFC 6962 proof math — the one proof path, O(log n).
 //
-// Every log in the library proves here: MerkleTree over its leaf vector,
-// LogService over its chunked leaf store (or, below a paged-reads
-// boundary, the storage tile cache). The hashes live in 256-wide tiles:
-// level 0 holds leaf hashes, and entry e of level L is the root of the
-// perfect subtree over leaves [e·256^L, (e+1)·256^L) — the entries the
-// RootAccumulator's sink reports as it appends. Instead of rebuilding
-// every sibling subtree from the leaves (the O(n) recursion merkle.hpp
-// keeps as the reference oracle), this header short-circuits every
-// perfect subtree that tile entries already name:
+// Every log in the library proves here. Level 0 comes from the log's own
+// leaves (MerkleTree's vector, LogService's chunked leaf store or, below
+// a paged-reads boundary, the storage tile cache), and levels >= 1 from
+// the log's one ct::TileCascade (merkle.hpp) — the store's, when the log
+// is storage-backed. The hashes live in 256-wide tiles: level 0 holds
+// leaf hashes, and entry e of level L is the root of the perfect subtree
+// over leaves [e·256^L, (e+1)·256^L) — the entries the RootAccumulator's
+// sink reports as it appends. Instead of rebuilding every sibling subtree
+// from the leaves (the O(n) recursion merkle.hpp keeps as the reference
+// oracle), this header short-circuits every perfect subtree that tile
+// entries already name:
 //
 //   MTH(D[i·2^j : (i+1)·2^j])  =  fold of 2^(j mod 8) adjacent entries
 //                                 of level j/8 — one run of one tile —
@@ -27,6 +29,8 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "ctwatch/ct/merkle.hpp"
@@ -69,22 +73,36 @@ class TileSource {
   virtual Digest leaf(std::uint64_t index) = 0;
 };
 
-/// A TileSource over resident hashes: level 0 is `leaves`, level L >= 1
-/// is `upper.levels[L-1]`, and the watermark is the whole vector. What
-/// MerkleTree proves through.
-class ResidentTileSource final : public TileSource {
+/// The TileSource of one log: levels >= 1 from its TileCascade, level 0
+/// from `level0(first, count)` — a pointer to that run of leaf hashes, or
+/// nullptr — below the watermark `leaves`. leaf() reads level 0 too and
+/// throws std::runtime_error when the run is unavailable.
+template <typename Level0>
+class LogTileSource final : public TileSource {
  public:
-  ResidentTileSource(const std::vector<Digest>& leaves, const TileLevels& upper)
-      : leaves_(leaves), upper_(upper) {}
+  LogTileSource(const TileCascade& cascade, std::uint64_t leaves, Level0 level0)
+      : cascade_(cascade), leaves_(leaves), level0_(std::move(level0)) {}
 
-  [[nodiscard]] std::uint64_t paged_leaves() const override { return leaves_.size(); }
+  [[nodiscard]] std::uint64_t paged_leaves() const override { return leaves_; }
   bool entries(unsigned level, std::uint64_t first, std::uint64_t count,
-               TilePageView& out) override;
-  Digest leaf(std::uint64_t index) override { return leaves_[static_cast<std::size_t>(index)]; }
+               TilePageView& out) override {
+    const Digest* run = level > 0                  ? cascade_.entries(level, first, count)
+                        : first + count <= leaves_ ? level0_(first, count)
+                                                   : nullptr;
+    if (run == nullptr) return false;
+    out = {run, count};
+    return true;
+  }
+  Digest leaf(std::uint64_t index) override {
+    TilePageView run;
+    if (!entries(0, index, 1, run)) throw std::runtime_error("tiled: leaf hash unavailable");
+    return *run.entries;
+  }
 
  private:
-  const std::vector<Digest>& leaves_;
-  const TileLevels& upper_;
+  const TileCascade& cascade_;
+  std::uint64_t leaves_;
+  Level0 level0_;
 };
 
 /// Root of the balanced tree over `count` adjacent perfect-subtree roots

@@ -13,4 +13,3 @@
 #include "ctwatch/logsvc/multilog.hpp"
 #include "ctwatch/logsvc/queue.hpp"
 #include "ctwatch/logsvc/service.hpp"
-#include "ctwatch/logsvc/store.hpp"

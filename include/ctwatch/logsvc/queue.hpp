@@ -16,17 +16,15 @@
 #include <mutex>
 #include <vector>
 
+#include "ctwatch/ct/append_only_store.hpp"
+
 namespace ctwatch::logsvc {
 
 /// Why a push was refused — "full" is backpressure the producer should
 /// surface as overload; "closed" is teardown the producer should surface
 /// as shutdown. Conflating the two misattributes teardown races as
-/// overload in the metrics.
-enum class PushResult : std::uint8_t {
-  ok,      ///< item enqueued
-  full,    ///< at capacity — backpressure, item untouched
-  closed,  ///< queue closed — shutdown, item untouched
-};
+/// overload in the metrics. The same type the append-only stores return.
+using ct::PushResult;
 
 /// Bounded MPSC queue. Producers call try_push from any thread; the one
 /// consumer uses wait_nonempty/wait_nonempty_until + drain. close() wakes

@@ -47,7 +47,6 @@
 #include "ctwatch/ct/sct.hpp"
 #include "ctwatch/logsvc/fanout.hpp"
 #include "ctwatch/logsvc/queue.hpp"
-#include "ctwatch/logsvc/store.hpp"
 #include "ctwatch/obs/trace.hpp"
 #include "ctwatch/storage/log_store.hpp"
 #include "ctwatch/util/time.hpp"
@@ -91,17 +90,19 @@ struct Config {
   chaos::FaultInjector* chaos = nullptr;
   std::string chaos_prefix = "logsvc";
   /// Optional durable backing store (not owned; nullptr keeps the
-  /// service memory-only, exactly as before). When set, the constructor
-  /// ADOPTS the store's recovered state — every recovered entry is
-  /// re-integrated and the recovered STH is republished verbatim (the
-  /// store must have been opened with the same log name: the recovered
-  /// STH's signature is verified against this service's key, and a
-  /// mismatch throws). Each sealed batch is then committed (WAL + fsync)
-  /// BEFORE its snapshot is published or its SCTs are released, so
-  /// get-sth never serves a root the disk cannot prove. The first
-  /// storage failure poisons the write path fail-stop: later batches
-  /// complete with ct::SubmitStatus::storage_error while reads keep serving
-  /// the last durable snapshot.
+  /// service memory-only, exactly as before). When set, the store's
+  /// ct::TileCascade is the log's one Merkle state, which the service
+  /// stages on and proves through. The constructor ADOPTS the store's
+  /// recovered state — leaf hashes and records, none folded again — and
+  /// republishes the recovered STH verbatim (the store must have been
+  /// opened with the same log name: the recovered STH's signature is
+  /// verified against this service's key, and a mismatch throws). Each
+  /// sealed batch is then committed (WAL + fsync) BEFORE its snapshot is
+  /// published or its SCTs are released, so get-sth never serves a root
+  /// the disk cannot prove. The first storage failure poisons the write
+  /// path fail-stop: later batches complete with
+  /// ct::SubmitStatus::storage_error while reads keep serving the last
+  /// durable snapshot.
   storage::LogStore* storage = nullptr;
   /// Storage-backed reads (requires `storage`). When set, adoption keeps
   /// only the recovered WAL tail resident: leaf hashes and entries below
@@ -273,10 +274,6 @@ class LogService {
     CompletionFn done;
   };
 
-  struct DedupValue {
-    std::uint64_t index = 0;
-    std::uint64_t timestamp_ms = 0;
-  };
   struct DigestHash {
     std::size_t operator()(const crypto::Digest& d) const {
       std::size_t out = 0;
@@ -295,8 +292,16 @@ class LogService {
   /// Publishes an already-signed STH — the exact object that was
   /// committed to storage (or recovered from it), never a re-signing.
   void publish_snapshot(ct::SignedTreeHead sth);
-  /// The per-query tile source every proof runs through (service.cpp).
-  class ProofSource;
+  /// Runs `proof(source)` over the tile source every proof reads and
+  /// records the tile-cache pages it fetched (service.cpp).
+  template <typename Proof>
+  std::vector<crypto::Digest> prove(const Proof& proof) const;
+  /// The log's one Merkle cascade: the store's when storage-backed, else
+  /// own_cascade_. Readers use only its published levels; the sequencer
+  /// stages on it.
+  [[nodiscard]] const ct::TileCascade& cascade() const {
+    return config_.storage != nullptr ? config_.storage->cascade() : *own_cascade_;
+  }
   /// Key readers for the two DigestIndexes: their keys live in the stores.
   [[nodiscard]] auto leaf_at() const {
     return [this](std::uint64_t position) -> const crypto::Digest& {
@@ -314,16 +319,13 @@ class LogService {
   ct::LogId log_id_;
 
   BoundedQueue<Pending> queue_;
-  AppendOnlyStore<crypto::Digest> leaves_;  ///< leaf hashes [leaf_base_, tree_size)
-  AppendOnlyStore<ct::LogEntry> entries_;   ///< records [resident_base_, tree_size)
-  /// Upper tile levels: upper_[L-1] holds every level-L entry (the root
-  /// of leaves [e·256^L, (e+1)·256^L)), from the accumulator's sink. One
-  /// 256-entry chunk per tile, capacity leaves_.capacity() / 256^L, so
-  /// each store is sized to its content.
-  std::vector<std::unique_ptr<AppendOnlyStore<crypto::Digest>>> upper_;
+  ct::AppendOnlyStore<crypto::Digest> leaves_;  ///< leaf hashes [leaf_base_, tree_size)
+  ct::AppendOnlyStore<ct::LogEntry> entries_;   ///< records [resident_base_, tree_size)
+  /// A memory-only service's cascade; empty when the service is
+  /// storage-backed (see cascade()).
+  std::unique_ptr<ct::TileCascade> own_cascade_;
 
   // Sequencer-private state (no locking: single thread).
-  ct::RootAccumulator accumulator_;
   /// fingerprint -> position in entries_ (index - resident_base_).
   ct::DigestIndex dedup_;
   std::uint64_t last_timestamp_ms_ = 0;

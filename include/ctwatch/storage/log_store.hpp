@@ -18,9 +18,10 @@
 //
 // Memory model: the store is OUT OF CORE. Only the unsealed tail is
 // resident — the leaves past the last checkpoint's tile floor plus the
-// WAL's replayed entries — together with the upper tile levels (1/255 of
-// the leaf hashes, the O(log n) proof path's working set, which
-// LogService seeds from); everything checkpointed is served by pread
+// WAL's replayed entries — together with the log's ct::TileCascade (the
+// accumulator and the upper tile levels, 1/255 of the leaf hashes: the
+// O(log n) proof path's working set, which a storage-backed LogService
+// stages on and proves through); everything checkpointed is served by pread
 // through a sharded tile cache (leaf hashes, proof subtree roots) and a
 // sparse-indexed segment reader (entry records). Recovery streams the
 // segments in O(page) memory, so reopening a store costs O(WAL tail)
@@ -140,13 +141,18 @@ class LogStore {
   LogStore& operator=(const LogStore&) = delete;
 
   /// Makes one sealed batch durable: entry frames + seal frame into the
-  /// WAL, then fsync. On ok, the batch survives any crash. Validates
-  /// that the entries extend the tree contiguously and that folding them
-  /// reproduces sth.root_hash before writing anything (a mismatch is a
-  /// caller bug surfaced as IoError::corrupt, not a disk write).
+  /// WAL, then fsync. On ok, the batch survives any crash. `staged` is the
+  /// batch's fold on cascade() (LogService stages once and signs its STH
+  /// over `staged.root`; the one-argument form stages it here). Before
+  /// writing a byte the commit checks, by comparison only, that the
+  /// entries extend the tree from `staged.base` == tree_size() and are the
+  /// staged leaves, and that the staged size and root are the STH's; a
+  /// mismatch is a caller bug surfaced as IoError::corrupt, not a disk
+  /// write. Once durable, the staged fold is applied to cascade().
   /// May run a checkpoint afterwards per checkpoint_interval_batches; a
   /// checkpoint failure after a successful commit still returns ok (the
   /// batch IS durable) but poisons the store for later commits.
+  IoResult commit_batch(const BatchCommit& batch, const ct::TileCascade::Staged& staged);
   IoResult commit_batch(const BatchCommit& batch);
 
   /// Flushes tiles + entry segment, appends a manifest checkpoint, and
@@ -162,18 +168,17 @@ class LogStore {
   [[nodiscard]] bool failed() const { return last_error_ != IoError::none; }
   [[nodiscard]] IoError last_error() const { return last_error_; }
 
-  [[nodiscard]] std::uint64_t tree_size() const { return accumulator_.size(); }
+  [[nodiscard]] std::uint64_t tree_size() const { return cascade_.size(); }
   [[nodiscard]] std::uint64_t seal_seq() const { return seal_seq_; }
   [[nodiscard]] const RecoveryReport& recovery() const { return recovery_; }
 
   /// The last durable STH (nullopt on a fresh, still-empty store).
   [[nodiscard]] const std::optional<ct::SignedTreeHead>& durable_sth() const { return sth_; }
-  [[nodiscard]] const ct::RootAccumulator& accumulator() const { return accumulator_; }
-  /// Every upper tile entry (levels >= 1) of the tree_size()-leaf tree,
-  /// resident — the cascade recovery and commits build from the
-  /// accumulator's sink. LogService seeds its proof path from it at
-  /// adoption instead of re-folding the leaves.
-  [[nodiscard]] const ct::TileLevels& tile_levels() const { return upper_; }
+  /// The log's Merkle cascade: the accumulator and every upper tile entry
+  /// (levels >= 1) of the tree_size()-leaf tree, resident. Recovery and
+  /// commit_batch build it; a storage-backed LogService stages its seals
+  /// on it and its readers prove through it while commits publish.
+  [[nodiscard]] const ct::TileCascade& cascade() const { return cascade_; }
   [[nodiscard]] std::uint64_t last_timestamp_ms() const { return last_timestamp_ms_; }
 
   // --- the paged read path ---
@@ -259,7 +264,7 @@ class LogStore {
   IoError last_error_ = IoError::none;
   bool closed_ = false;
 
-  ct::RootAccumulator accumulator_;
+  ct::TileCascade cascade_;
   std::vector<crypto::Digest> tail_leaves_;  ///< [tail_base_, tree_size)
   std::uint64_t tail_base_ = 0;              ///< tile floor of the watermark
   std::optional<ct::SignedTreeHead> sth_;
@@ -267,10 +272,8 @@ class LogStore {
   std::uint64_t last_timestamp_ms_ = 0;
 
   std::uint64_t tiles_persisted_leaves_ = 0;  ///< leaves covered by tiles.seg
-  /// Upper tile entries (fed by the accumulator's sink) and the full
-  /// pages already written per level (index 0 unused) — the cascade's
-  /// cursor into them.
-  ct::TileLevels upper_;
+  /// Full upper pages already written per level (index 0 unused) — the
+  /// checkpoint's cursor into cascade_.
   std::vector<std::uint64_t> upper_written_;
   Bytes entry_frames_pending_;  ///< framed entry records awaiting entries.seg
   /// (index, offset within entry_frames_pending_) for every future index

@@ -45,10 +45,51 @@ Digest RootAccumulator::root() const {
   return acc;
 }
 
+TileCascade::TileCascade() {
+  for (unsigned level = 1; (kLeafCapacity >> (kTileHeight * level)) > 0; ++level) {
+    const std::uint64_t entries = kLeafCapacity >> (kTileHeight * level);
+    levels_.push_back(std::make_unique<AppendOnlyStore<Digest>>(
+        kTileHeight, static_cast<std::size_t>((entries + kTileWidth - 1) / kTileWidth)));
+  }
+}
+
+TileCascade::Staged TileCascade::stage(std::vector<Digest> leaves) const {
+  if (leaves.size() > kLeafCapacity - size()) throw std::length_error("TileCascade: full");
+  Staged staged;
+  staged.base = accumulator_.size();
+  staged.accumulator = accumulator_;
+  for (const Digest& leaf : leaves) {
+    staged.accumulator.add(leaf, [&staged](unsigned level, const Digest& root) {
+      staged.completed.emplace_back(level, root);
+    });
+  }
+  staged.root = staged.accumulator.root();
+  staged.leaves = std::move(leaves);
+  return staged;
+}
+
+void TileCascade::apply(const Staged& staged) {
+  if (staged.base != accumulator_.size()) {
+    throw std::logic_error("TileCascade::apply: staged from a stale base");
+  }
+  for (const auto& [level, root] : staged.completed) push(level, root);
+  accumulator_ = staged.accumulator;
+}
+
+namespace {
+
+/// What MerkleTree proves through: its leaf vector and its cascade.
+auto tree_source(const std::vector<Digest>& leaves, const TileCascade& cascade) {
+  return LogTileSource(cascade, leaves.size(),
+                       [&leaves](std::uint64_t first, std::uint64_t) { return &leaves[first]; });
+}
+
+}  // namespace
+
 std::uint64_t MerkleTree::append(const Digest& leaf) {
   const std::uint64_t index = leaves_.size();
+  cascade_.append(leaf);
   leaves_.push_back(leaf);
-  accumulator_.add(leaf, upper_);
   return index;
 }
 
@@ -61,7 +102,7 @@ std::uint64_t MerkleTree::append_batch(std::span<const Digest> leaves) {
 
 Digest MerkleTree::root_at(std::uint64_t n) const {
   if (n > size()) throw std::out_of_range("MerkleTree::root_at: beyond tree size");
-  ResidentTileSource source(leaves_, upper_);
+  auto source = tree_source(leaves_, cascade_);
   return tiled_root(source, n);
 }
 
@@ -70,7 +111,7 @@ std::vector<Digest> MerkleTree::inclusion_proof(std::uint64_t index,
   if (tree_size > size() || index >= tree_size) {
     throw std::out_of_range("MerkleTree::inclusion_proof: bad index/size");
   }
-  ResidentTileSource source(leaves_, upper_);
+  auto source = tree_source(leaves_, cascade_);
   return tiled_inclusion_path(source, index, tree_size);
 }
 
@@ -79,7 +120,7 @@ std::vector<Digest> MerkleTree::consistency_proof(std::uint64_t old_size,
   if (new_size > size() || old_size > new_size) {
     throw std::out_of_range("MerkleTree::consistency_proof: bad sizes");
   }
-  ResidentTileSource source(leaves_, upper_);
+  auto source = tree_source(leaves_, cascade_);
   return tiled_consistency_path(source, old_size, new_size);
 }
 

@@ -27,19 +27,6 @@ Digest perfect_root(TileSource& source, unsigned j, std::uint64_t index) {
 
 }  // namespace
 
-bool ResidentTileSource::entries(unsigned level, std::uint64_t first, std::uint64_t count,
-                                 TilePageView& out) {
-  const std::vector<Digest>* row = &leaves_;
-  if (level > 0) {
-    if (level > upper_.levels.size()) return false;
-    row = &upper_.levels[level - 1];
-  }
-  if (first + count > row->size()) return false;
-  out.entries = row->data() + first;
-  out.count = count;
-  return true;
-}
-
 // Identical to the RFC 6962 recursion on a perfect range: the split
 // point of 2^k is 2^(k-1).
 Digest fold_perfect(const Digest* entries, std::uint64_t count) {

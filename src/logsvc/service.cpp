@@ -75,21 +75,6 @@ ct::LogEntry to_record(storage::DurableEntry durable, bool keep_body) {
 /// re-streaming the checkpointed prefix into memory (legacy mode).
 constexpr std::uint64_t kAdoptWindow = 4096;
 
-/// One store per upper tile level a tree of `leaf_capacity` leaves can
-/// reach: level L holds at most leaf_capacity / 256^L entries, one tile
-/// per chunk.
-std::vector<std::unique_ptr<AppendOnlyStore<crypto::Digest>>> make_upper_levels(
-    std::uint64_t leaf_capacity) {
-  std::vector<std::unique_ptr<AppendOnlyStore<crypto::Digest>>> levels;
-  for (unsigned level = 1; (leaf_capacity >> (ct::kTileHeight * level)) > 0; ++level) {
-    const std::uint64_t tiles =
-        std::max<std::uint64_t>(1, leaf_capacity >> (ct::kTileHeight * (level + 1)));
-    levels.push_back(std::make_unique<AppendOnlyStore<crypto::Digest>>(
-        ct::kTileHeight, static_cast<std::size_t>(tiles)));
-  }
-  return levels;
-}
-
 }  // namespace
 
 LogService::LogService(Config config)
@@ -97,12 +82,14 @@ LogService::LogService(Config config)
       signer_(crypto::make_signer("ct-log/" + config_.name, config_.scheme)),
       log_id_(signer_->key_id()),
       queue_(config_.queue_capacity),
-      upper_(make_upper_levels(leaves_.capacity())),
+      own_cascade_(config_.storage == nullptr
+                       ? std::make_unique<ct::TileCascade>()
+                       : nullptr),
       fanout_(config_.fanout_buffer) {
   if (config_.storage != nullptr) adopt_storage();
   if (snapshot_ == nullptr) {
     // The signed empty tree.
-    publish_snapshot(ct::sign_sth(*signer_, 0, 0, accumulator_.root()));
+    publish_snapshot(ct::sign_sth(*signer_, 0, 0, cascade().root()));
   }
   running_.store(true, std::memory_order_release);
   sequencer_ = std::thread([this] { sequencer_main(); });
@@ -156,8 +143,7 @@ void LogService::adopt_storage() {
     leaf_base_ = paged / ct::kTileWidth * ct::kTileWidth;
   }
   const std::uint64_t resident = sth.tree_size - resident_base_;
-  if (sth.tree_size - leaf_base_ > leaves_.capacity() || resident > entries_.capacity() ||
-      store.tile_levels().levels.size() > upper_.size()) {
+  if (sth.tree_size - leaf_base_ > leaves_.capacity() || resident > entries_.capacity()) {
     throw std::runtime_error("logsvc: recovered tree exceeds the in-memory store capacity");
   }
   for (std::uint64_t i = leaf_base_; i < resident_base_; ++i) {
@@ -187,19 +173,10 @@ void LogService::adopt_storage() {
     }
   }
   for (storage::DurableEntry& durable : tail) adopt_one(durable);
-  // The upper tile levels are the cascade the store built while
-  // recovering — copied, never re-folded from the adopted leaves.
-  const std::vector<std::vector<crypto::Digest>>& levels = store.tile_levels().levels;
-  for (std::size_t l = 0; l < levels.size(); ++l) {
-    if (levels[l].size() != sth.tree_size >> (ct::kTileHeight * (l + 1))) {
-      throw std::runtime_error("logsvc: recovered tile levels do not match the recovered STH");
-    }
-    for (const crypto::Digest& entry : levels[l]) (void)upper_[l]->append(entry);
-    upper_[l]->publish();
-  }
+  // The store's cascade, which recovery built, already holds the upper
+  // levels and the accumulator: nothing is copied or folded again.
   leaves_.publish();
   entries_.publish();
-  accumulator_ = store.accumulator();
   last_timestamp_ms_ = store.last_timestamp_ms();
   seal_seq_ = store.seal_seq();
   publish_snapshot(sth);  // the recovered head, verbatim — never re-signed
@@ -332,74 +309,39 @@ std::shared_ptr<const TreeSnapshot> LogService::snapshot() const {
   return snapshot_;
 }
 
-/// The one tile source behind every proof, in both read modes. Level 0
-/// at or above leaf_base_ points straight into leaves_: leaf_base_ is
-/// tile-aligned and a tile-aligned run never straddles a 2^14-entry
+/// Every proof, in both read modes, runs over one ct::LogTileSource.
+/// Level 0 at or above leaf_base_ points straight into leaves_: leaf_base_
+/// is tile-aligned and a tile-aligned run never straddles a 2^14-entry
 /// chunk. Below leaf_base_ (paged mode only) the store's tile cache
-/// serves level 0. Levels >= 1 come from the resident upper stores. The
-/// published size is snapshotted once; every subtree below it is
-/// immutable, so stale tree sizes prove against it too.
-class LogService::ProofSource final : public ct::TileSource {
- public:
-  explicit ProofSource(const LogService& service)
-      : service_(service), size_(service.tree_size()) {
-    if (service.leaf_base_ > 0) {
-      paged_.emplace(service.config_.storage->tile_cache(), service.leaf_base_,
-                     [this](std::uint64_t index) { return leaf(index); });
-    }
+/// serves level 0, pinned for the proof's lifetime; a page that fails to
+/// load there is corruption, and the source throws. Levels >= 1 come from
+/// the log's cascade. The published size is snapshotted once; every
+/// subtree below it is immutable, so stale tree sizes prove against it too.
+template <typename Proof>
+std::vector<crypto::Digest> LogService::prove(const Proof& proof) const {
+  std::optional<storage::PagedLeafSource> paged;
+  if (leaf_base_ > 0) {
+    paged.emplace(config_.storage->tile_cache(), leaf_base_, nullptr);  // runs only, no leaf()
   }
-
-  [[nodiscard]] std::uint64_t paged_leaves() const override { return size_; }
-
-  bool entries(unsigned level, std::uint64_t first, std::uint64_t count,
-               ct::TilePageView& out) override {
-    if (level == 0) {
-      if (first + count > size_) return false;
-      if (first < service_.leaf_base_) return paged_->entries(0, first, count, out);
-      out.entries = &service_.leaves_.at(first - service_.leaf_base_);
-      out.count = count;
-      return true;
-    }
-    if (level > service_.upper_.size()) return false;
-    const AppendOnlyStore<crypto::Digest>& row = *service_.upper_[level - 1];
-    if (first + count > row.size()) return false;
-    out.entries = &row.at(first);
-    out.count = count;
-    return true;
-  }
-
-  crypto::Digest leaf(std::uint64_t index) override {
-    // Every resident leaf is served by entries(); an index below
-    // leaf_base_ lands here only when its tile page failed to load —
-    // corruption, not a fallthrough.
-    if (index < service_.leaf_base_) {
-      throw std::runtime_error("logsvc: tile page unavailable for checkpointed leaf");
-    }
-    return service_.leaves_.at(index - service_.leaf_base_);
-  }
-
-  /// Tile-cache pages this proof fetched: 0 when it ran fully resident.
-  [[nodiscard]] std::uint64_t page_fetches() const {
-    return paged_ ? paged_->page_fetches() : 0;
-  }
-
- private:
-  const LogService& service_;
-  std::uint64_t size_;
-  std::optional<storage::PagedLeafSource> paged_;
-};
+  ct::LogTileSource source(cascade(), tree_size(),
+                           [&](std::uint64_t first, std::uint64_t count) -> const crypto::Digest* {
+                             if (first >= leaf_base_) return &leaves_.at(first - leaf_base_);
+                             ct::TilePageView run;
+                             return paged->entries(0, first, count, run) ? run.entries : nullptr;
+                           });
+  std::vector<crypto::Digest> path = proof(source);
+  svc_metrics().proof_page_fetches.observe(static_cast<double>(paged ? paged->page_fetches() : 0));
+  return path;
+}
 
 std::vector<crypto::Digest> LogService::inclusion_proof(std::uint64_t index,
                                                         std::uint64_t tree_size) const {
   if (tree_size > this->tree_size() || index >= tree_size) {
     throw std::out_of_range("LogService::inclusion_proof: bad index/size");
   }
-  SvcMetrics& metrics = svc_metrics();
-  obs::ScopedTimer timer(metrics.inclusion_proof_us);
-  ProofSource source(*this);
-  std::vector<crypto::Digest> path = ct::tiled_inclusion_path(source, index, tree_size);
-  metrics.proof_page_fetches.observe(static_cast<double>(source.page_fetches()));
-  return path;
+  obs::ScopedTimer timer(svc_metrics().inclusion_proof_us);
+  return prove(
+      [&](ct::TileSource& source) { return ct::tiled_inclusion_path(source, index, tree_size); });
 }
 
 std::vector<crypto::Digest> LogService::consistency_proof(std::uint64_t old_size,
@@ -407,12 +349,10 @@ std::vector<crypto::Digest> LogService::consistency_proof(std::uint64_t old_size
   if (new_size > tree_size() || old_size > new_size) {
     throw std::out_of_range("LogService::consistency_proof: bad sizes");
   }
-  SvcMetrics& metrics = svc_metrics();
-  obs::ScopedTimer timer(metrics.consistency_proof_us);
-  ProofSource source(*this);
-  std::vector<crypto::Digest> path = ct::tiled_consistency_path(source, old_size, new_size);
-  metrics.proof_page_fetches.observe(static_cast<double>(source.page_fetches()));
-  return path;
+  obs::ScopedTimer timer(svc_metrics().consistency_proof_us);
+  return prove([&](ct::TileSource& source) {
+    return ct::tiled_consistency_path(source, old_size, new_size);
+  });
 }
 
 crypto::Digest LogService::leaf_hash_at(std::uint64_t index) const {
@@ -529,7 +469,7 @@ void LogService::sequencer_main() {
   }
   metrics.queue_depth.set(0);
   obs::log_info("logsvc", "sequencer drained and exiting",
-                {{"log", config_.name}, {"tree_size", accumulator_.size()}});
+                {{"log", config_.name}, {"tree_size", cascade().size()}});
 }
 
 void LogService::seal_batch(std::vector<Pending>& batch) {
@@ -537,7 +477,9 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
   SvcMetrics& metrics = svc_metrics();
   CTWATCH_SPAN("logsvc.seal");
   obs::ScopedTimer seal_timer(metrics.seal_us);
-  obs::flight_note("logsvc.seal", batch.size(), accumulator_.size());
+  const ct::TileCascade& tree = cascade();
+  const std::uint64_t base = tree.size();
+  obs::flight_note("logsvc.seal", batch.size(), base);
 
   if (config_.chaos != nullptr) {
     // Delayed sealing: a stalled sequencer, the MMD stretched. The batch
@@ -550,12 +492,12 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
   }
 
   // The seal is staged, committed, then applied. The stage phase computes
-  // everything (leaf hashes, SCTs, records) WITHOUT mutating any shared
-  // state; the commit phase makes the batch durable (when a storage
-  // backend is configured); only then does the apply phase publish to the
-  // in-memory stores and release completions. A failed commit therefore
-  // leaves memory exactly at the last durable state — the service never
-  // serves a root the disk cannot prove.
+  // everything (leaf hashes, SCTs, records, the batch's one Merkle fold)
+  // WITHOUT mutating any shared state; the commit phase makes the batch
+  // durable (when a storage backend is configured); only then does the
+  // apply phase publish to the in-memory stores and release completions.
+  // A failed commit therefore leaves memory exactly at the last durable
+  // state — the service never serves a root the disk cannot prove.
   struct Completion {
     CompletionFn done;
     ct::SubmitResult outcome;
@@ -572,11 +514,12 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
   // appends AND intra-batch dedup hits): flipped to storage_error if the
   // durable commit refuses.
   std::vector<std::size_t> contingent;
-  std::unordered_map<crypto::Digest, DedupValue, DigestHash> staged_dedup;
-  ct::RootAccumulator probe = accumulator_;
-  // Upper tile entries the batch completes, from the accumulator's sink:
-  // applied with the leaves, only once the batch is durable.
-  ct::TileLevels new_upper;
+  // fingerprint -> position in new_records: the batch's own dedup, where
+  // the first occurrence wins.
+  ct::DigestIndex batch_dedup;
+  const auto staged_fingerprint = [&new_records](std::uint64_t position) -> const crypto::Digest& {
+    return new_records[static_cast<std::size_t>(position)].fingerprint;
+  };
 
   const auto seal_started = std::chrono::steady_clock::now();
   Bytes leaf_bytes;
@@ -608,15 +551,12 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
       // RFC 6962 resubmission semantics: re-issue the SCT over the
       // original timestamp instead of growing the tree. Hits against
       // entries staged in THIS batch are contingent on the commit.
-      const DedupValue* prior = nullptr;
+      const ct::LogEntry* prior = nullptr;
       bool prior_in_batch = false;
-      DedupValue integrated;
       if (const auto position = dedup_.find(pending.fingerprint, fingerprint_at())) {
-        integrated = {resident_base_ + *position, entries_.at(*position).timestamp_ms};
-        prior = &integrated;
-      } else if (const auto it2 = staged_dedup.find(pending.fingerprint);
-                 it2 != staged_dedup.end()) {
-        prior = &it2->second;
+        prior = &entries_.at(*position);
+      } else if (const auto staged = batch_dedup.find(pending.fingerprint, staged_fingerprint)) {
+        prior = &new_records[static_cast<std::size_t>(*staged)];
         prior_in_batch = true;
       }
       if (prior != nullptr) {
@@ -631,7 +571,7 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
       }
     }
 
-    const std::uint64_t index = probe.size();
+    const std::uint64_t index = base + new_leaves.size();
     leaf_bytes = ct::merkle_leaf_bytes(pending.timestamp_ms, pending.entry);
     const crypto::Digest leaf = ct::leaf_hash(leaf_bytes);
     ct::SignedCertificateTimestamp sct;
@@ -641,40 +581,24 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
     }
 
     if (config_.dedup) {
-      staged_dedup.emplace(pending.fingerprint, DedupValue{index, pending.timestamp_ms});
+      batch_dedup.insert(pending.fingerprint, new_records.size(), staged_fingerprint);
     }
 
+    const ct::SignedEntry no_body;
     if (config_.storage != nullptr) {
-      storage::DurableEntry durable;
-      durable.index = index;
-      durable.timestamp_ms = pending.timestamp_ms;
-      durable.leaf_hash = leaf;
-      durable.fingerprint = pending.fingerprint;
-      durable.issuer_cn = pending.issuer_cn;
-      durable.has_body = config_.store_bodies;
-      if (config_.store_bodies) durable.entry = pending.entry;
-      durables.push_back(std::move(durable));
+      durables.push_back({.index = index, .timestamp_ms = pending.timestamp_ms, .leaf_hash = leaf,
+                          .fingerprint = pending.fingerprint, .issuer_cn = pending.issuer_cn,
+                          .has_body = config_.store_bodies,
+                          .entry = config_.store_bodies ? pending.entry : no_body});
     }
-
-    ct::LogEntry record;
-    record.index = index;
-    record.timestamp_ms = pending.timestamp_ms;
-    record.fingerprint = pending.fingerprint;
-    record.issuer_cn = pending.issuer_cn;
-    if (config_.store_bodies) record.signed_entry = std::move(pending.entry);
-
-    StreamEvent event;
-    event.index = index;
-    event.timestamp_ms = pending.timestamp_ms;
-    event.leaf_hash = leaf;
-    event.fingerprint = pending.fingerprint;
-    event.issuer_cn = std::move(pending.issuer_cn);
-    event.trace = entry_span.context();
-
-    probe.add(leaf, new_upper);
+    new_records.push_back(
+        {.index = index, .timestamp_ms = pending.timestamp_ms,
+         .signed_entry = config_.store_bodies ? std::move(pending.entry) : no_body,
+         .issuer_cn = pending.issuer_cn, .fingerprint = pending.fingerprint});
+    events.push_back({.index = index, .timestamp_ms = pending.timestamp_ms, .leaf_hash = leaf,
+                      .fingerprint = pending.fingerprint,
+                      .issuer_cn = std::move(pending.issuer_cn), .trace = entry_span.context()});
     new_leaves.push_back(leaf);
-    new_records.push_back(std::move(record));
-    events.push_back(std::move(event));
     contingent.push_back(completions.size());
     completions.push_back({std::move(pending.done),
                            ct::SubmitResult{ct::SubmitStatus::ok, index, std::move(sct)},
@@ -682,72 +606,75 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
   }
   const std::uint64_t appended = new_leaves.size();
 
-  // Commit: sign the head once, make it durable, and only then let
-  // anything observe it. Capacity exhaustion in the memory stores is
-  // checked BEFORE the disk commit — committing a batch the memory image
-  // cannot hold would fork disk from memory.
+  // Commit: fold the batch once, sign the head over that fold, make it
+  // durable, and only then let anything observe it. Capacity exhaustion
+  // in the memory stores is checked BEFORE the disk commit — committing a
+  // batch the memory image cannot hold would fork disk from memory.
   bool committed = appended > 0;
+  ct::TileCascade::Staged staged;
   ct::SignedTreeHead sth;
   if (appended > 0) {
-    sth = ct::sign_sth(*signer_, probe.size(), last_timestamp_ms_, probe.root());
     if (leaves_.write_pos() + appended > leaves_.capacity() ||
-        entries_.write_pos() + appended > entries_.capacity()) {
+        entries_.write_pos() + appended > entries_.capacity() ||
+        appended > ct::TileCascade::kLeafCapacity - base) {
       committed = false;
       obs::log_warn("logsvc", "batch refused: in-memory store capacity exhausted",
-                    {{"log", config_.name}, {"tree_size", accumulator_.size()}});
-    } else if (config_.storage != nullptr) {
+                    {{"log", config_.name}, {"tree_size", base}});
+    } else {
+      staged = tree.stage(std::move(new_leaves));
+      sth = ct::sign_sth(*signer_, staged.size(), last_timestamp_ms_, staged.root);
+    }
+    if (committed && config_.storage != nullptr) {
+      // The store checks the staged fold against the entries and the STH
+      // by comparison and, once durable, applies it to its cascade.
       storage::BatchCommit commit;
       commit.entries = std::move(durables);
       commit.sth = sth;
       commit.seal_seq = seal_seq_ + 1;
-      const storage::IoResult io = config_.storage->commit_batch(commit);
+      const storage::IoResult io = config_.storage->commit_batch(commit, staged);
       committed = io.ok();
       if (!committed) {
         obs::log_warn("logsvc", "durable commit failed; batch not integrated",
                       {{"log", config_.name},
                        {"error", std::string(storage::to_string(io.error))},
-                       {"tree_size", accumulator_.size()}});
+                       {"tree_size", base}});
       }
     }
   }
 
   if (committed) {
-    // Apply + publish order matters: stores first (release), then the
-    // snapshot that readers bound their accesses by, then the completions
-    // that tell submitters their entry is provable.
+    // Apply + publish order matters: the cascade's upper levels first
+    // (a storage-backed commit applied the store's already), then the
+    // leaves, then the snapshot that readers bound their accesses by,
+    // then the completions that tell submitters their entry is provable.
+    if (own_cascade_ != nullptr) own_cascade_->apply(staged);
     for (std::uint64_t i = 0; i < appended; ++i) {
-      (void)leaves_.append(new_leaves[static_cast<std::size_t>(i)]);
+      const crypto::Digest& leaf = staged.leaves[static_cast<std::size_t>(i)];
+      ct::LogEntry& record = new_records[static_cast<std::size_t>(i)];
+      (void)leaves_.append(leaf);
       {
         std::lock_guard<std::mutex> lock(leaf_index_mu_);
-        leaf_index_.insert(new_leaves[static_cast<std::size_t>(i)],
-                           accumulator_.size() + i - leaf_base_, leaf_at());
+        leaf_index_.insert(leaf, base + i - leaf_base_, leaf_at());
       }
-      (void)entries_.append(std::move(new_records[static_cast<std::size_t>(i)]));
+      if (config_.dedup) {
+        dedup_.insert(record.fingerprint, base + i - resident_base_, fingerprint_at());
+      }
+      (void)entries_.append(std::move(record));
     }
-    for (std::size_t l = 0; l < new_upper.levels.size(); ++l) {
-      for (const crypto::Digest& root : new_upper.levels[l]) (void)upper_[l]->append(root);
-    }
-    for (const auto& [fingerprint, value] : staged_dedup) {
-      dedup_.insert(fingerprint, value.index - resident_base_, fingerprint_at());
-    }
-    accumulator_ = std::move(probe);
-    // Upper levels publish before the leaves: a reader that sees a leaf
-    // count sees every tile entry below it.
-    for (const auto& level : upper_) level->publish();
     leaves_.publish();
     entries_.publish();
     ++seal_seq_;
     publish_snapshot(std::move(sth));
     sealed_batches_.fetch_add(1, std::memory_order_relaxed);
     metrics.sealed_batches.inc();
-    metrics.tree_size.set(static_cast<std::int64_t>(accumulator_.size()));
+    metrics.tree_size.set(static_cast<std::int64_t>(base + appended));
   } else if (appended > 0) {
     // The batch is NOT part of the tree (fail-stop): every contingent
     // completion reports storage_error, nothing streams, and the last
     // durable snapshot keeps serving reads.
     storage_failures_.fetch_add(1, std::memory_order_relaxed);
     metrics.storage_failures.inc();
-    obs::flight_note("logsvc.storage_failure", accumulator_.size());
+    obs::flight_note("logsvc.storage_failure", base);
     for (const std::size_t index : contingent) {
       completions[index].outcome =
           ct::SubmitResult{ct::SubmitStatus::storage_error, 0, std::nullopt};

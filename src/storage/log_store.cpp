@@ -82,12 +82,17 @@ LogStore::~LogStore() {
 
 IoError LogStore::recover(std::string& detail) {
   const auto started = std::chrono::steady_clock::now();
+  // Every refusal names its cause in `detail`.
+  const auto refuse = [&detail](IoError error, const char* why) {
+    detail = why;
+    return error;
+  };
+  const auto corrupt = [&refuse](const char* why) { return refuse(IoError::corrupt, why); };
 
   // 1. Manifest: newest valid checkpoint record anchors everything else.
   Bytes manifest_img;
   if (!env_->read_file(kManifestFile, manifest_img).ok()) {
-    detail = "cannot read manifest";
-    return IoError::io;
+    return refuse(IoError::io, "cannot read manifest");
   }
   const WalScan manifest_scan = wal_scan(manifest_img);
   std::optional<CheckpointRecord> cp;
@@ -105,16 +110,17 @@ IoError LogStore::recover(std::string& detail) {
   const std::uint64_t cp_tile_bytes = cp.has_value() ? cp->tile_bytes : 0;
   const std::uint64_t cp_entry_bytes = cp.has_value() ? cp->entry_bytes : 0;
   recovery_.checkpoint_tree_size = cp_tree_size;
+  if (cp_tree_size > ct::TileCascade::kLeafCapacity) {
+    return corrupt("checkpointed tree exceeds the cascade's leaf capacity");
+  }
 
   const std::uint64_t tile_disk_bytes = env_->file_size(kTileFile);
   const std::uint64_t entry_disk_bytes = env_->file_size(kEntryFile);
   if (tile_disk_bytes < cp_tile_bytes) {
-    detail = "tile segment shorter than the checkpoint's coverage";
-    return IoError::corrupt;
+    return corrupt("tile segment shorter than the checkpoint's coverage");
   }
   if (entry_disk_bytes < cp_entry_bytes) {
-    detail = "entry segment shorter than the checkpoint's coverage";
-    return IoError::corrupt;
+    return corrupt("entry segment shorter than the checkpoint's coverage");
   }
 
   // 2. Tile directory: one streaming CRC scan of the checkpointed prefix
@@ -125,10 +131,7 @@ IoError LogStore::recover(std::string& detail) {
   std::shared_ptr<RandomReadFile> tile_scan;
   if (cp_tile_bytes > 0) {
     tile_scan = env_->open_read(kTileFile);
-    if (tile_scan == nullptr) {
-      detail = "cannot read tile segment";
-      return IoError::io;
-    }
+    if (tile_scan == nullptr) return refuse(IoError::io, "cannot read tile segment");
     constexpr std::uint64_t kScanPages = 128;
     Bytes chunk;
     for (std::uint64_t pos = 0; pos + kTilePageBytes <= cp_tile_bytes;) {
@@ -136,8 +139,7 @@ IoError LogStore::recover(std::string& detail) {
           std::min<std::uint64_t>(kScanPages, (cp_tile_bytes - pos) / kTilePageBytes);
       chunk.resize(static_cast<std::size_t>(pages * kTilePageBytes));
       if (!tile_scan->read_at(pos, chunk.data(), chunk.size()).ok()) {
-        detail = "cannot read tile segment";
-        return IoError::io;
+        return refuse(IoError::io, "cannot read tile segment");
       }
       for (std::uint64_t p = 0; p < pages; ++p) {
         ++recovery_.tile_pages_scanned;
@@ -171,8 +173,7 @@ IoError LogStore::recover(std::string& detail) {
     const std::uint64_t want = std::min<std::uint64_t>(kTileLeaves, cp_tree_size - t * kTileLeaves);
     const std::optional<TileDirectory::Location> loc = directory_->lookup(0, t);
     if (!loc.has_value() || loc->count < want) {
-      detail = "tile segment does not cover the checkpointed tree";
-      return IoError::corrupt;
+      return corrupt("tile segment does not cover the checkpointed tree");
     }
   }
   for (unsigned level = 1; level <= kMaxTileLevel; ++level) {
@@ -181,8 +182,7 @@ IoError LogStore::recover(std::string& detail) {
     for (std::uint64_t t = 0; t < full; ++t) {
       const std::optional<TileDirectory::Location> loc = directory_->lookup(level, t);
       if (!loc.has_value() || loc->count != kTileLeaves) {
-        detail = "tile segment is missing upper-level pages";
-        return IoError::corrupt;
+        return corrupt("tile segment is missing upper-level pages");
       }
     }
   }
@@ -204,40 +204,34 @@ IoError LogStore::recover(std::string& detail) {
   upper_written_.assign(kMaxTileLevel + 2, 0);
   if (options_.recovery_verify == LogStoreOptions::Verify::full) {
     // Stream every level-0 page once, folding all leaves into the
-    // accumulator. Its sink hands over every upper tile entry the merge
-    // completes; each upper page those entries fill must equal the
+    // cascade. Each upper page the fold completes must equal the
     // persisted one. O(page) memory beyond the upper levels, O(n) time.
     for (std::uint64_t t = 0; t < tiles_needed; ++t) {
       const std::optional<TilePage> page = load_page(0, t);
       const std::uint64_t want =
           std::min<std::uint64_t>(kTileLeaves, cp_tree_size - t * kTileLeaves);
       if (!page.has_value() || page->count < want) {
-        detail = "tile segment does not cover the checkpointed tree";
-        return IoError::corrupt;
+        return corrupt("tile segment does not cover the checkpointed tree");
       }
-      for (std::uint64_t i = 0; i < want; ++i) accumulator_.add(page->leaves[i], upper_);
-      for (unsigned level = 1; level <= upper_.levels.size(); ++level) {
-        const std::vector<crypto::Digest>& row = upper_.levels[level - 1];
-        for (std::uint64_t& tile = upper_written_[level]; (tile + 1) * kTileLeaves <= row.size();
-             ++tile) {
+      for (std::uint64_t i = 0; i < want; ++i) cascade_.append(page->leaves[i]);
+      for (unsigned level = 1; level <= cascade_.levels(); ++level) {
+        for (std::uint64_t& tile = upper_written_[level];
+             (tile + 1) * kTileLeaves <= cascade_.level_size(level); ++tile) {
           const std::optional<TilePage> upper = load_page(level, tile);
           if (!upper.has_value() ||
               !std::equal(upper->leaves.begin(), upper->leaves.end(),
-                          row.begin() + static_cast<std::ptrdiff_t>(tile * kTileLeaves))) {
-            detail = "upper tile page disagrees with the leaves below it";
-            return IoError::corrupt;
+                          cascade_.entries(level, tile * kTileLeaves, kTileLeaves))) {
+            return corrupt("upper tile page disagrees with the leaves below it");
           }
         }
       }
     }
     if (cp.has_value()) {
-      if (accumulator_.root() != cp->sth.root_hash) {
-        detail = "checkpointed root hash does not match the tile leaves";
-        return IoError::corrupt;
+      if (cascade_.root() != cp->sth.root_hash) {
+        return corrupt("checkpointed root hash does not match the tile leaves");
       }
-      if (accumulator_.frontier() != cp->frontier) {
-        detail = "checkpointed frontier does not match the tile leaves";
-        return IoError::corrupt;
+      if (cascade_.accumulator().frontier() != cp->frontier) {
+        return corrupt("checkpointed frontier does not match the tile leaves");
       }
     }
   } else if (cp.has_value()) {
@@ -246,19 +240,14 @@ IoError LogStore::recover(std::string& detail) {
     // the tiles; the full refold was this checkpoint writer's job.
     std::optional<ct::RootAccumulator> restored =
         ct::RootAccumulator::from_frontier(cp->frontier, cp_tree_size);
-    if (!restored.has_value()) {
-      detail = "checkpointed frontier has the wrong shape";
-      return IoError::corrupt;
-    }
-    accumulator_ = std::move(*restored);
-    if (accumulator_.root() != cp->sth.root_hash) {
-      detail = "checkpointed root hash does not match its frontier";
-      return IoError::corrupt;
+    if (!restored.has_value()) return corrupt("checkpointed frontier has the wrong shape");
+    if (restored->root() != cp->sth.root_hash) {
+      return corrupt("checkpointed root hash does not match its frontier");
     }
     // Rebuild the upper levels: full pages load as persisted (no
     // hashing), and each level's partial entries fold from the level
     // below — at most 255 page folds per level.
-    for (unsigned level = 1; level <= kMaxTileLevel + 1; ++level) {
+    for (unsigned level = 1; level <= cascade_.levels(); ++level) {
       const std::uint64_t entries_here = cp_tree_size >> (8 * level);
       if (entries_here == 0) break;
       const std::uint64_t full = entries_here >> 8;
@@ -266,20 +255,19 @@ IoError LogStore::recover(std::string& detail) {
       for (std::uint64_t t = 0; t < full; ++t) {
         const std::optional<TilePage> page = load_page(level, t);
         if (!page.has_value() || page->count != kTileLeaves) {
-          detail = "tile segment is missing upper-level pages";
-          return IoError::corrupt;
+          return corrupt("tile segment is missing upper-level pages");
         }
-        for (const crypto::Digest& entry : page->leaves) upper_(level, entry);
+        for (const crypto::Digest& entry : page->leaves) cascade_.restore_entry(level, entry);
       }
       for (std::uint64_t i = full * kTileLeaves; i < entries_here; ++i) {
         const std::optional<TilePage> below = load_page(level - 1, i);
         if (!below.has_value() || below->count != kTileLeaves) {
-          detail = "tile segment does not cover the checkpointed tree";
-          return IoError::corrupt;
+          return corrupt("tile segment does not cover the checkpointed tree");
         }
-        upper_(level, ct::fold_perfect(below->leaves.data(), kTileLeaves));
+        cascade_.restore_entry(level, ct::fold_perfect(below->leaves.data(), kTileLeaves));
       }
     }
+    cascade_.restore_frontier(std::move(*restored));
   }
   if (cp.has_value()) {
     sth_ = cp->sth;
@@ -292,8 +280,7 @@ IoError LogStore::recover(std::string& detail) {
   if (cp_tree_size > tail_base_) {
     const std::optional<TilePage> tail_page = load_page(0, cp_tree_size / kTileLeaves);
     if (!tail_page.has_value() || tail_page->count < cp_tree_size - tail_base_) {
-      detail = "tile segment does not cover the checkpointed tree";
-      return IoError::corrupt;
+      return corrupt("tile segment does not cover the checkpointed tree");
     }
     tail_leaves_.assign(tail_page->leaves.begin(),
                         tail_page->leaves.begin() +
@@ -307,10 +294,7 @@ IoError LogStore::recover(std::string& detail) {
   std::uint64_t entry_frames = 0;
   if (cp_entry_bytes > 0) {
     const std::shared_ptr<RandomReadFile> entry_scan = env_->open_read(kEntryFile);
-    if (entry_scan == nullptr) {
-      detail = "cannot read entry segment";
-      return IoError::io;
-    }
+    if (entry_scan == nullptr) return refuse(IoError::io, "cannot read entry segment");
     FrameCursor cursor(*entry_scan, 0, cp_entry_bytes);
     RecordType type{};
     Bytes payload;
@@ -320,20 +304,14 @@ IoError LogStore::recover(std::string& detail) {
       const FrameCursor::Status status = cursor.next(type, payload);
       if (status == FrameCursor::Status::end) break;
       if (status == FrameCursor::Status::io) {
-        detail = "cannot read entry segment";
-        return IoError::io;
+        return refuse(IoError::io, "cannot read entry segment");
       }
       if (status == FrameCursor::Status::corrupt) {
-        detail = "entry segment corrupt inside the checkpointed prefix";
-        return IoError::corrupt;
+        return corrupt("entry segment corrupt inside the checkpointed prefix");
       }
-      if (type != RecordType::entry) {
-        detail = "entry segment holds a non-entry frame";
-        return IoError::corrupt;
-      }
+      if (type != RecordType::entry) return corrupt("entry segment holds a non-entry frame");
       if (entry_frames >= cp_tree_size) {
-        detail = "entry segment disagrees with the tile leaves";
-        return IoError::corrupt;
+        return corrupt("entry segment disagrees with the tile leaves");
       }
       if (entry_frames % options_.entry_index_stride == 0) {
         entry_marks.emplace_back(entry_frames, at);
@@ -341,10 +319,7 @@ IoError LogStore::recover(std::string& detail) {
       if (options_.recovery_verify == LogStoreOptions::Verify::full) {
         const std::optional<DurableEntry> entry =
             decode_entry(BytesView{payload.data(), payload.size()});
-        if (!entry.has_value()) {
-          detail = "entry segment frame does not decode";
-          return IoError::corrupt;
-        }
+        if (!entry.has_value()) return corrupt("entry segment frame does not decode");
         crypto::Digest leaf;
         if (entry_frames >= tail_base_) {
           leaf = tail_leaves_[static_cast<std::size_t>(entry_frames - tail_base_)];
@@ -353,23 +328,20 @@ IoError LogStore::recover(std::string& detail) {
           if (!cross_page.has_value() || cross_page->tile_index != tile) {
             cross_page = load_page(0, tile);
             if (!cross_page.has_value()) {
-              detail = "tile segment does not cover the checkpointed tree";
-              return IoError::corrupt;
+              return corrupt("tile segment does not cover the checkpointed tree");
             }
           }
           leaf = cross_page->leaves[static_cast<std::size_t>(entry_frames % kTileLeaves)];
         }
         if (entry->index != entry_frames || entry->leaf_hash != leaf) {
-          detail = "entry segment disagrees with the tile leaves";
-          return IoError::corrupt;
+          return corrupt("entry segment disagrees with the tile leaves");
         }
       }
       ++entry_frames;
     }
   }
   if (entry_frames != cp_tree_size) {
-    detail = "entry segment does not cover the checkpointed tree";
-    return IoError::corrupt;
+    return corrupt("entry segment does not cover the checkpointed tree");
   }
 
   // 5. WAL replay: every durable seal re-folds its batch and must
@@ -377,10 +349,7 @@ IoError LogStore::recover(std::string& detail) {
   // unsealed submissions — discarded, visibly. O(WAL tail) memory: this
   // is the only part of recovery that retains per-entry state.
   Bytes wal_img;
-  if (!env_->read_file(kWalFile, wal_img).ok()) {
-    detail = "cannot read wal";
-    return IoError::io;
-  }
+  if (!env_->read_file(kWalFile, wal_img).ok()) return refuse(IoError::io, "cannot read wal");
   const WalScan wal = wal_scan(wal_img);
   std::map<std::uint64_t, DurableEntry> staged;
   std::uint64_t committed_wal_bytes = 0;  // offset after the last applied/stale seal
@@ -390,7 +359,7 @@ IoError LogStore::recover(std::string& detail) {
     if (record.type == RecordType::entry) {
       std::optional<DurableEntry> entry = decode_entry(record.payload);
       if (!entry.has_value()) break;  // framed but malformed: stop trusting here
-      if (entry->index < accumulator_.size()) {
+      if (entry->index < cascade_.size()) {
         ++recovery_.stale_wal_records;  // re-covered by the checkpoint
       } else {
         staged[entry->index] = std::move(*entry);
@@ -398,31 +367,27 @@ IoError LogStore::recover(std::string& detail) {
     } else if (record.type == RecordType::seal) {
       std::optional<SealRecord> seal = decode_seal(record.payload);
       if (!seal.has_value()) break;
-      if (seal->sth.tree_size <= accumulator_.size()) {
+      if (seal->sth.tree_size <= cascade_.size()) {
         ++recovery_.stale_wal_records;  // the checkpoint already covers it
         committed_wal_bytes = offset_after;
       } else {
+        if (seal->sth.tree_size > ct::TileCascade::kLeafCapacity) {
+          return corrupt("durable seal exceeds the cascade's leaf capacity");
+        }
+        // A missing entry or a root mismatch fails the whole open, so the
+        // cascade folds each entry as it is gathered.
         std::vector<DurableEntry> batch;
-        bool complete = true;
-        for (std::uint64_t i = accumulator_.size(); i < seal->sth.tree_size; ++i) {
+        for (std::uint64_t i = cascade_.size(); i < seal->sth.tree_size; ++i) {
           auto it = staged.find(i);
           if (it == staged.end()) {
-            complete = false;
-            break;
+            return corrupt("durable seal references entries the wal does not hold");
           }
+          cascade_.append(it->second.leaf_hash);
           batch.push_back(std::move(it->second));
           staged.erase(it);
         }
-        if (!complete) {
-          detail = "durable seal references entries the wal does not hold";
-          return IoError::corrupt;
-        }
-        // A mismatch fails the whole open, so the upper levels can take
-        // the sink's entries directly.
-        for (const DurableEntry& entry : batch) accumulator_.add(entry.leaf_hash, upper_);
-        if (accumulator_.root() != seal->sth.root_hash) {
-          detail = "durable seal's root hash does not match its entries";
-          return IoError::corrupt;
+        if (cascade_.root() != seal->sth.root_hash) {
+          return corrupt("durable seal's root hash does not match its entries");
         }
         for (DurableEntry& entry : batch) {
           tail_leaves_.push_back(entry.leaf_hash);
@@ -452,39 +417,21 @@ IoError LogStore::recover(std::string& detail) {
   // garbage can never be re-read as data.
   IoError file_error = IoError::none;
   wal_ = env_->open_append(kWalFile, committed_wal_bytes, &file_error);
-  if (wal_ == nullptr) {
-    detail = "cannot reopen wal";
-    return file_error;
-  }
+  if (wal_ == nullptr) return refuse(file_error, "cannot reopen wal");
   tiles_ = env_->open_append(kTileFile, cp_tile_bytes, &file_error);
-  if (tiles_ == nullptr) {
-    detail = "cannot reopen tile segment";
-    return file_error;
-  }
+  if (tiles_ == nullptr) return refuse(file_error, "cannot reopen tile segment");
   entries_ = env_->open_append(kEntryFile, cp_entry_bytes, &file_error);
-  if (entries_ == nullptr) {
-    detail = "cannot reopen entry segment";
-    return file_error;
-  }
+  if (entries_ == nullptr) return refuse(file_error, "cannot reopen entry segment");
   manifest_ = env_->open_append(kManifestFile, manifest_valid_bytes, &file_error);
-  if (manifest_ == nullptr) {
-    detail = "cannot reopen manifest";
-    return file_error;
-  }
+  if (manifest_ == nullptr) return refuse(file_error, "cannot reopen manifest");
   tiles_persisted_leaves_ = cp_tree_size;
 
   // 7. Stand up the read path (the append opens above created any
   // missing files, so these handles always resolve).
   tile_read_ = env_->open_read(kTileFile, &file_error);
-  if (tile_read_ == nullptr) {
-    detail = "cannot open tile segment for reading";
-    return file_error;
-  }
+  if (tile_read_ == nullptr) return refuse(file_error, "cannot open tile segment for reading");
   entry_read_ = env_->open_read(kEntryFile, &file_error);
-  if (entry_read_ == nullptr) {
-    detail = "cannot open entry segment for reading";
-    return file_error;
-  }
+  if (entry_read_ == nullptr) return refuse(file_error, "cannot open entry segment for reading");
   cache_ = std::make_unique<TileCache>(
       tile_read_, directory_,
       TileCacheOptions{options_.tile_cache_bytes, options_.tile_cache_shards});
@@ -495,7 +442,7 @@ IoError LogStore::recover(std::string& detail) {
 
   recovery_.opened_fresh = manifest_img.empty() && wal_img.empty() && tile_disk_bytes == 0 &&
                            entry_disk_bytes == 0;
-  recovery_.tree_size = accumulator_.size();
+  recovery_.tree_size = cascade_.size();
   recovery_.recovery_us = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() -
                                                             started)
@@ -518,21 +465,35 @@ IoResult LogStore::fail_with(IoError error) {
 }
 
 IoResult LogStore::commit_batch(const BatchCommit& batch) {
+  std::vector<crypto::Digest> leaves;
+  leaves.reserve(batch.entries.size());
+  for (const DurableEntry& entry : batch.entries) leaves.push_back(entry.leaf_hash);
+  if (leaves.size() > ct::TileCascade::kLeafCapacity - cascade_.size()) {
+    return IoResult::fail(IoError::corrupt);  // a fold the cascade cannot hold
+  }
+  return commit_batch(batch, cascade_.stage(std::move(leaves)));
+}
+
+IoResult LogStore::commit_batch(const BatchCommit& batch, const ct::TileCascade::Staged& staged) {
   if (failed()) return IoResult::fail(last_error_);
   if (closed_) return IoResult::fail(IoError::io);
   if (batch.entries.empty()) return IoResult::fail(IoError::corrupt);
 
   // Validate before writing a byte: the batch must extend the tree
-  // contiguously and reproduce the signed root. A mismatch is a caller
-  // bug — surfacing it here keeps garbage out of the WAL.
-  const std::uint64_t first = accumulator_.size();
-  ct::RootAccumulator probe = accumulator_;
-  ct::TileLevels new_upper;  // the sink's entries, applied once durable
-  for (std::size_t i = 0; i < batch.entries.size(); ++i) {
-    if (batch.entries[i].index != first + i) return IoResult::fail(IoError::corrupt);
-    probe.add(batch.entries[i].leaf_hash, new_upper);
+  // contiguously, be the fold the caller staged, and carry that fold's
+  // signed size and root. Comparisons only — the fold is not repeated. A
+  // mismatch is a caller bug; surfacing it here keeps garbage out of the
+  // WAL.
+  const std::uint64_t first = cascade_.size();
+  if (staged.base != first || staged.leaves.size() != batch.entries.size()) {
+    return IoResult::fail(IoError::corrupt);
   }
-  if (batch.sth.tree_size != probe.size() || batch.sth.root_hash != probe.root()) {
+  for (std::size_t i = 0; i < batch.entries.size(); ++i) {
+    if (batch.entries[i].index != first + i || batch.entries[i].leaf_hash != staged.leaves[i]) {
+      return IoResult::fail(IoError::corrupt);
+    }
+  }
+  if (batch.sth.tree_size != staged.size() || batch.sth.root_hash != staged.root) {
     return IoResult::fail(IoError::corrupt);
   }
 
@@ -564,10 +525,7 @@ IoResult LogStore::commit_batch(const BatchCommit& batch) {
     tail_leaves_.push_back(entry.leaf_hash);
     last_timestamp_ms_ = std::max(last_timestamp_ms_, entry.timestamp_ms);
   }
-  accumulator_ = std::move(probe);
-  for (std::size_t l = 0; l < new_upper.levels.size(); ++l) {
-    for (const crypto::Digest& root : new_upper.levels[l]) upper_(static_cast<unsigned>(l + 1), root);
-  }
+  cascade_.apply(staged);
   sth_ = batch.sth;
   seal_seq_ = batch.seal_seq;
   last_timestamp_ms_ = std::max(last_timestamp_ms_, batch.sth.timestamp_ms);
@@ -587,14 +545,13 @@ IoResult LogStore::commit_batch(const BatchCommit& batch) {
 
 IoResult LogStore::write_upper_pages(std::uint64_t leaves, std::vector<PendingTile>& written,
                                      Bytes& page) {
-  const unsigned levels = std::min<unsigned>(static_cast<unsigned>(upper_.levels.size()),
-                                             kMaxTileLevel);
+  const unsigned levels = std::min(cascade_.levels(), kMaxTileLevel);
   for (unsigned level = 1; level <= levels; ++level) {
     const std::uint64_t tile = upper_written_[level];
     // Page `tile` of `level` covers leaves up to (tile + 1) * 256^(level + 1).
     if ((tile + 1) << (8 * (level + 1)) > leaves) break;
     page.clear();
-    encode_tile_page(page, tile, upper_.levels[level - 1].data() + tile * kTileLeaves,
+    encode_tile_page(page, tile, cascade_.entries(level, tile * kTileLeaves, kTileLeaves),
                      kTileLeaves, level);
     const std::uint64_t at = tiles_->size();
     const IoResult io = tiles_->append(page);
@@ -606,7 +563,7 @@ IoResult LogStore::write_upper_pages(std::uint64_t leaves, std::vector<PendingTi
 }
 
 IoResult LogStore::write_dirty_tiles(std::vector<PendingTile>& written) {
-  const std::uint64_t tree = accumulator_.size();
+  const std::uint64_t tree = cascade_.size();
   if (tree <= tiles_persisted_leaves_) return IoResult::success();
   Bytes page;
   for (std::uint64_t t = tiles_persisted_leaves_ / kTileLeaves; t * kTileLeaves < tree; ++t) {
@@ -635,7 +592,7 @@ IoResult LogStore::checkpoint() {
   if (closed_) return IoResult::fail(IoError::io);
   if (!sth_.has_value()) return IoResult::success();  // nothing to anchor yet
   if (batches_since_checkpoint_ == 0 && entry_frames_pending_.empty() &&
-      accumulator_.size() == tiles_persisted_leaves_) {
+      cascade_.size() == tiles_persisted_leaves_) {
     return IoResult::success();  // the manifest already covers this state
   }
 
@@ -658,7 +615,7 @@ IoResult LogStore::checkpoint() {
 
   CheckpointRecord record;
   record.sth = *sth_;
-  record.frontier = accumulator_.frontier();
+  record.frontier = cascade_.accumulator().frontier();
   record.seal_seq = seal_seq_;
   record.last_timestamp_ms = last_timestamp_ms_;
   record.tile_bytes = tiles_->size();
@@ -685,9 +642,9 @@ IoResult LogStore::checkpoint() {
   for (const auto& [index, rel] : pending_entry_marks_) {
     reader_->add_mark(index, entry_seg_base + rel);
   }
-  reader_->set_coverage(accumulator_.size(), entries_->size());
-  directory_->set_paged_leaves(accumulator_.size());
-  tiles_persisted_leaves_ = accumulator_.size();
+  reader_->set_coverage(cascade_.size(), entries_->size());
+  directory_->set_paged_leaves(cascade_.size());
+  tiles_persisted_leaves_ = cascade_.size();
 
   // Trim the resident tail to the last (possibly partial) tile: leaves
   // covered by fsync'd pages never also live resident.

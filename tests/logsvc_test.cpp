@@ -119,6 +119,49 @@ TEST(LogServiceTest, DedupReturnsOriginalIndexAndTimestamp) {
   EXPECT_TRUE(ct::verify_sct(*again.sct, entry_of(7), service.public_key()));
 }
 
+/// Submits certificate 7 twice, an hour apart, as ONE batch (the
+/// sequencer is paused while both queue) and returns both outcomes.
+std::vector<ct::SubmitResult> submit_duplicate_in_one_batch(LogService& service) {
+  std::vector<std::promise<ct::SubmitResult>> promises(2);
+  service.pause_sequencer_for_test();
+  for (std::size_t i = 0; i < promises.size(); ++i) {
+    std::promise<ct::SubmitResult>& promise = promises[i];
+    const ct::SubmitStatus status =
+        service.submit(entry_of(7), fingerprint_of(7), "Test CA", i == 0 ? kNow : kNow + 3600,
+                       [&promise](const ct::SubmitResult& outcome) { promise.set_value(outcome); });
+    if (status != ct::SubmitStatus::ok) promise.set_value({status, 0, std::nullopt});
+  }
+  service.resume_sequencer_for_test();
+  return {promises[0].get_future().get(), promises[1].get_future().get()};
+}
+
+// The second submission of a certificate in the same batch hits the
+// batch's own dedup: both get the first one's index and an SCT over its
+// timestamp, and the tree grows by one leaf.
+TEST(LogServiceTest, DuplicateInOneBatchSharesTheFirstIndexAndTimestamp) {
+  obs::LogLinearHistogram& batch_sizes = obs::Registry::global().latency("logsvc.batch_size");
+  LogService service(fast_config("Svc Batch Dedup"));
+  ASSERT_EQ(submit_wait(service, 1, kNow).status, ct::SubmitStatus::ok);
+  const std::uint64_t batches_before = batch_sizes.count();
+  const std::vector<ct::SubmitResult> outcomes = submit_duplicate_in_one_batch(service);
+  EXPECT_EQ(batch_sizes.count(), batches_before + 1);  // one seal held both
+  const std::uint64_t first_ms = static_cast<std::uint64_t>(kNow.unix_seconds()) * 1000;
+  for (const ct::SubmitResult& outcome : outcomes) {
+    ASSERT_EQ(outcome.status, ct::SubmitStatus::ok);
+    ASSERT_TRUE(outcome.sct.has_value());
+    EXPECT_EQ(outcome.index, 1u);
+    EXPECT_EQ(outcome.sct->timestamp_ms, first_ms);
+    EXPECT_TRUE(ct::verify_sct(*outcome.sct, entry_of(7), service.public_key()));
+  }
+  EXPECT_EQ(service.tree_size(), 2u);
+  // Once integrated, the entry answers a later resubmission the same way.
+  const ct::SubmitResult later = submit_wait(service, 7, kNow + 7200);
+  ASSERT_EQ(later.status, ct::SubmitStatus::ok);
+  EXPECT_EQ(later.index, 1u);
+  EXPECT_EQ(later.sct->timestamp_ms, first_ms);
+  EXPECT_EQ(service.tree_size(), 2u);
+}
+
 TEST(LogServiceTest, QueueFullFailsFastWithOverloaded) {
   Config config = fast_config("Svc Overload");
   config.queue_capacity = 4;
@@ -465,7 +508,7 @@ TEST(BoundedQueueTest, DrainAfterCloseIsComplete) {
 
 // The store primitive: readers only see published elements.
 TEST(AppendOnlyStoreTest, PublishGatesVisibility) {
-  AppendOnlyStore<std::uint64_t> store(/*chunk_bits=*/2, /*max_chunks=*/4);
+  ct::AppendOnlyStore<std::uint64_t> store(/*chunk_bits=*/2, /*max_chunks=*/4);
   EXPECT_EQ(store.size(), 0u);
   for (std::uint64_t i = 0; i < 6; ++i) {
     EXPECT_EQ(store.append(i * 10), PushResult::ok);  // spans chunks
@@ -482,7 +525,7 @@ TEST(AppendOnlyStoreTest, PublishGatesVisibility) {
 // usable: published elements keep serving reads, later appends keep
 // failing the same way.
 TEST(AppendOnlyStoreTest, CapacityExhaustionIsTypedAndNonDestructive) {
-  AppendOnlyStore<std::uint64_t> store(/*chunk_bits=*/2, /*max_chunks=*/4);
+  ct::AppendOnlyStore<std::uint64_t> store(/*chunk_bits=*/2, /*max_chunks=*/4);
   EXPECT_EQ(store.capacity(), 16u);
   for (std::uint64_t i = 0; i < 16; ++i) EXPECT_EQ(store.append(i), PushResult::ok);
   // The exact boundary: element 16 is one past the last chunk slot.
@@ -903,12 +946,37 @@ TEST(LogServiceProofParityTest, RefusedCommitLeavesProofsAtTheLastDurableHead) {
   service.stop();
 }
 
-// TSAN target: readers prove against whatever head is current while the
-// sequencer seals batches of every shape, publishing leaves and upper
-// tile entries underneath them.
-TEST(LogServiceProofParityTest, ReadersProveConcurrentlyWithSealing) {
-  Config config = fast_config("Svc Parity Concurrent");
+// Both fail together when the durable commit is refused: the duplicate's
+// outcome presumed the batch would integrate.
+TEST(LogServiceTest, DuplicateInOneBatchReportsStorageErrorWhenTheCommitIsRefused) {
+  TempDir dir("batch_dedup_refused");
+  chaos::FaultInjector chaos(29);
+  chaos::FaultPlan plan;
+  plan.outages = {{2, std::uint64_t(1) << 62}};  // every op after the first batch's append + fsync
+  plan.outage_kind = chaos::FaultKind::error;
+  chaos.plan("storage.write", plan);
+  storage::LogStoreOptions options = parity_store_options(dir.path);
+  options.chaos = &chaos;
+  options.checkpoint_interval_batches = 0;
+  storage::LogStore::Open open = storage::LogStore::open(options);
+  ASSERT_NE(open.store, nullptr) << open.detail;
+  Config config = fast_config("Svc Batch Dedup Refused");
+  config.storage = open.store.get();
   LogService service(config);
+  ASSERT_EQ(submit_wait(service, 1, kNow).status, ct::SubmitStatus::ok);
+  for (const ct::SubmitResult& outcome : submit_duplicate_in_one_batch(service)) {
+    EXPECT_EQ(outcome.status, ct::SubmitStatus::storage_error);
+    EXPECT_FALSE(outcome.sct.has_value());
+  }
+  EXPECT_EQ(service.storage_failures(), 1u);  // one refused batch held both
+  EXPECT_EQ(service.tree_size(), 1u);
+  EXPECT_EQ(open.store->tree_size(), 1u);
+  service.stop();
+}
+
+/// Readers prove against whatever head is current while `service` seals
+/// three rounds of every batch shape; every proof must verify.
+void prove_while_sealing(LogService& service, History& history) {
   std::atomic<bool> writer_done{false};
   std::atomic<std::uint64_t> failures{0};
   std::atomic<std::uint64_t> proofs{0};
@@ -935,15 +1003,42 @@ TEST(LogServiceProofParityTest, ReadersProveConcurrentlyWithSealing) {
       }
     });
   }
-  History history;
   for (int round = 0; round < 3; ++round) {
     for (const std::uint64_t shape : kBatchShapes) seal_batch_of(service, shape, history);
   }
   writer_done.store(true, std::memory_order_release);
   for (std::thread& reader : readers) reader.join();
-  service.stop();
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_GT(proofs.load(), 0u);
+}
+
+// TSAN target: readers prove against whatever head is current while the
+// sequencer seals batches of every shape, publishing leaves and upper
+// tile entries underneath them.
+TEST(LogServiceProofParityTest, ReadersProveConcurrentlyWithSealing) {
+  Config config = fast_config("Svc Parity Concurrent");
+  LogService service(config);
+  History history;
+  prove_while_sealing(service, history);
+  service.stop();
+  expect_proof_parity(service, history);
+}
+
+// TSAN target, storage-backed: the service owns no cascade, so readers
+// prove through the store's while the sequencer commits into it (and
+// checkpoints every eighth batch).
+TEST(LogServiceProofParityTest, StorageBackedReadersProveConcurrentlyWithCommits) {
+  TempDir dir("parity_concurrent");
+  storage::LogStore::Open open = storage::LogStore::open(parity_store_options(dir.path));
+  ASSERT_NE(open.store, nullptr) << open.detail;
+  Config config = fast_config("Svc Parity Concurrent Storage");
+  config.storage = open.store.get();
+  LogService service(config);
+  History history;
+  prove_while_sealing(service, history);
+  service.stop();
+  EXPECT_EQ(open.store->tree_size(), history.leaves.size());
+  EXPECT_EQ(open.store->cascade().root(), history.heads.back().root_hash);
   expect_proof_parity(service, history);
 }
 

@@ -387,7 +387,7 @@ void commit_entries(LogStore& store, std::uint64_t count) {
   for (std::uint64_t i = 0; i < count; ++i) {
     BatchCommit batch;
     batch.entries = {test_entry(store.tree_size())};
-    ct::RootAccumulator probe = store.accumulator();
+    ct::RootAccumulator probe = store.cascade().accumulator();
     probe.add(batch.entries[0].leaf_hash);
     batch.sth = test_sth(probe, batch.entries[0].timestamp_ms);
     batch.seal_seq = store.seal_seq() + 1;
@@ -730,6 +730,72 @@ TEST(StorageLogStoreTest, MismatchedBatchRefusedBeforeAnyWrite) {
   EXPECT_EQ(open.store->tree_size(), 1u);
 }
 
+// A staged commit is checked by comparison against the fold the caller
+// staged: a fold of a stale base, an entry whose leaf hash is not the
+// staged leaf, and an STH whose root is not the staged root are each
+// refused as corrupt before any write, and none poisons the store.
+TEST(StorageLogStoreTest, StagedCommitRefusesStaleBaseForeignLeafAndForeignRoot) {
+  TempDir dir("staged");
+  LogStoreOptions options;
+  options.dir = dir.path;
+  LogStore::Open open = LogStore::open(options);
+  ASSERT_NE(open.store, nullptr) << open.detail;
+  LogStore& store = *open.store;
+  commit_entries(store, 2);
+
+  const auto batch_of = [&store](const DurableEntry& entry,
+                                 const ct::TileCascade::Staged& staged) {
+    BatchCommit batch;
+    batch.entries = {entry};
+    batch.sth = test_sth(staged.accumulator, entry.timestamp_ms);
+    batch.seal_seq = store.seal_seq() + 1;
+    return batch;
+  };
+  // Staged at size 2, then made stale by a commit through the staged path.
+  const ct::TileCascade::Staged stale = store.cascade().stage({test_entry(3).leaf_hash});
+  const ct::TileCascade::Staged fresh2 = store.cascade().stage({test_entry(2).leaf_hash});
+  ASSERT_TRUE(store.commit_batch(batch_of(test_entry(2), fresh2), fresh2).ok());
+  ASSERT_EQ(store.tree_size(), 3u);
+  EXPECT_EQ(store.cascade().root(), fresh2.root);
+
+  Bytes wal_before;
+  ASSERT_TRUE(store.env().read_file("wal.log", wal_before).ok());
+  const std::uint64_t ops_before = store.env().write_ops();
+  const auto expect_refused = [&](const BatchCommit& batch, const ct::TileCascade::Staged& staged,
+                                  const char* what) {
+    EXPECT_EQ(store.commit_batch(batch, staged).error, IoError::corrupt) << what;
+    Bytes wal_after;
+    ASSERT_TRUE(store.env().read_file("wal.log", wal_after).ok());
+    EXPECT_EQ(wal_after, wal_before) << what;
+    EXPECT_EQ(store.env().write_ops(), ops_before) << what;
+    EXPECT_FALSE(store.failed()) << what;
+    EXPECT_EQ(store.tree_size(), 3u) << what;
+  };
+
+  // 1. Stale base: the entry (index 3) extends the tree and is the staged
+  // leaf, and the STH is the staged fold's, but the fold began at size 2.
+  ASSERT_EQ(stale.base, 2u);
+  expect_refused(batch_of(test_entry(3), stale), stale, "stale base");
+
+  // 2. Foreign leaf: the staged fold and its STH are right, the entry's
+  // leaf hash is not the one that was folded.
+  const ct::TileCascade::Staged staged = store.cascade().stage({test_entry(3).leaf_hash});
+  DurableEntry foreign = test_entry(3);
+  foreign.leaf_hash = digest_of("not-the-leaf");
+  expect_refused(batch_of(foreign, staged), staged, "foreign leaf");
+
+  // 3. Foreign root: entries and fold agree, the STH signs another root.
+  BatchCommit lying = batch_of(test_entry(3), staged);
+  lying.sth.root_hash = digest_of("not-the-root");
+  expect_refused(lying, staged, "foreign root");
+
+  // The honest batch still commits, and the cascade is the staged fold.
+  ASSERT_TRUE(store.commit_batch(batch_of(test_entry(3), staged), staged).ok());
+  EXPECT_EQ(store.tree_size(), 4u);
+  EXPECT_EQ(store.cascade().root(), staged.root);
+  EXPECT_EQ(store.cascade().accumulator().frontier(), staged.accumulator.frontier());
+}
+
 TEST(StorageLogStoreTest, IoFaultPoisonsFailStop) {
   TempDir dir("poison");
   chaos::FaultInjector chaos(17);
@@ -747,7 +813,7 @@ TEST(StorageLogStoreTest, IoFaultPoisonsFailStop) {
 
   BatchCommit batch;
   batch.entries = {test_entry(1)};
-  ct::RootAccumulator probe = open.store->accumulator();
+  ct::RootAccumulator probe = open.store->cascade().accumulator();
   probe.add(batch.entries[0].leaf_hash);
   batch.sth = test_sth(probe, 2000);
   batch.seal_seq = 2;

@@ -70,7 +70,7 @@ ct::SignedTreeHead test_sth(const ct::RootAccumulator& acc, std::uint64_t ts) {
 /// Commits one sealed batch of `count` entries extending the store.
 void commit_batch_of(LogStore& store, std::uint64_t count) {
   BatchCommit batch;
-  ct::RootAccumulator probe = store.accumulator();
+  ct::RootAccumulator probe = store.cascade().accumulator();
   for (std::uint64_t i = 0; i < count; ++i) {
     DurableEntry entry = test_entry(store.tree_size() + i);
     probe.add(entry.leaf_hash);
@@ -392,7 +392,7 @@ TEST(StoragePagedStoreTest, RecoveryKeepsOnlyTheWalTailResident) {
     }
     {
       PagedLeafSource source = store.leaf_source();
-      EXPECT_EQ(ct::tiled_root(source, 607), store.accumulator().root());
+      EXPECT_EQ(ct::tiled_root(source, 607), store.cascade().accumulator().root());
     }
 
     // Crash instead of closing: no checkpoint runs, the next verify mode

@@ -10,6 +10,7 @@
 
 #include <bit>
 #include <random>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -250,49 +251,57 @@ TEST(TiledProofTest, AccumulatorSinkYieldsEveryUpperTileEntry) {
   };
 
   // Single appends: each entry arrives with the leaf that completes it.
-  TileLevels single;
+  TileCascade single;
   RootAccumulator acc;
   for (std::uint64_t i = 0; i < n; ++i) {
-    acc.add(leaves[static_cast<std::size_t>(i)], single);
-    for (unsigned level = 1; level <= single.levels.size(); ++level) {
-      ASSERT_EQ(single.levels[level - 1].size(), (i + 1) >> (8 * level))
+    acc.add(leaves[static_cast<std::size_t>(i)]);
+    single.append(leaves[static_cast<std::size_t>(i)]);
+    for (unsigned level = 1; level <= single.levels(); ++level) {
+      ASSERT_EQ(single.level_size(level), (i + 1) >> (8 * level))
           << "level " << level << " after leaf " << i;
     }
   }
-  ASSERT_EQ(single.levels.size(), 2u);
+  ASSERT_EQ(single.level_size(3), 0u);  // n reaches two levels
   for (unsigned level = 1; level <= 2; ++level) {
     const std::uint64_t width = std::uint64_t{1} << (8 * level);
-    const std::vector<Digest>& row = single.levels[level - 1];
-    for (std::uint64_t e = 0; e < row.size(); ++e) {
-      EXPECT_EQ(row[static_cast<std::size_t>(e)], merkle_range_root(leaf_fn, e * width,
-                                                                    (e + 1) * width))
+    for (std::uint64_t e = 0; e < single.level_size(level); ++e) {
+      EXPECT_EQ(*single.entries(level, e, 1), merkle_range_root(leaf_fn, e * width,
+                                                                (e + 1) * width))
           << "level " << level << " entry " << e;
     }
   }
+  EXPECT_EQ(single.accumulator().frontier(), acc.frontier());
 
-  // Batch appends, staged on a probe copy and applied after (the
-  // sequencer's and LogStore::commit_batch's shape): the same entries,
-  // and the probe's root matches the oracle at every batch boundary.
-  TileLevels batched;
-  RootAccumulator committed;
+  // Batch appends, staged without touching the cascade and applied after
+  // (the sequencer's and LogStore::commit_batch's shape): the same
+  // entries, and the staged root matches the oracle at every batch
+  // boundary. A fold staged from a stale base is refused.
+  TileCascade batched;
   const std::uint64_t shapes[] = {1, 7, 255, 256, 257, 1000, 4096};
   for (std::uint64_t next = 0, s = 0; next < n; ++s) {
     const std::uint64_t count = std::min(shapes[s % std::size(shapes)], n - next);
-    RootAccumulator probe = committed;
-    std::vector<std::pair<unsigned, Digest>> staged;
-    for (std::uint64_t i = next; i < next + count; ++i) {
-      probe.add(leaves[static_cast<std::size_t>(i)],
-                [&staged](unsigned level, const Digest& root) { staged.emplace_back(level, root); });
-    }
-    for (const auto& [level, root] : staged) batched(level, root);
-    committed = probe;
+    const std::vector<Digest> slice(leaves.begin() + static_cast<std::ptrdiff_t>(next),
+                                    leaves.begin() + static_cast<std::ptrdiff_t>(next + count));
+    const TileCascade::Staged staged = batched.stage(slice);
+    ASSERT_EQ(staged.base, next);
+    ASSERT_EQ(staged.leaves, slice);
+    ASSERT_EQ(batched.size(), next);  // staging changed nothing
+    batched.apply(staged);
+    EXPECT_THROW(batched.apply(staged), std::logic_error);
     next += count;
+    ASSERT_EQ(batched.size(), next);
     if (next <= 2048 || next == n) {
-      EXPECT_EQ(committed.root(), merkle_root_of(leaf_fn, next)) << "size " << next;
+      EXPECT_EQ(staged.root, merkle_root_of(leaf_fn, next)) << "size " << next;
+      EXPECT_EQ(batched.root(), staged.root);
     }
   }
-  EXPECT_EQ(batched.levels, single.levels);
-  EXPECT_EQ(committed.frontier(), acc.frontier());
+  for (unsigned level = 1; level <= 2; ++level) {
+    ASSERT_EQ(batched.level_size(level), single.level_size(level));
+    for (std::uint64_t e = 0; e < single.level_size(level); ++e) {
+      EXPECT_EQ(*batched.entries(level, e, 1), *single.entries(level, e, 1));
+    }
+  }
+  EXPECT_EQ(batched.accumulator().frontier(), acc.frontier());
 }
 
 /// Counts the tile entries (and fallback leaves) one proof reads.
@@ -329,16 +338,17 @@ TEST(TiledProofTest, ProofsTouchLogarithmicallyManyEntries) {
     for (unsigned b = 0; b < 8; ++b) leaves[i][b] = static_cast<std::uint8_t>(i >> (8 * b));
   }
   const std::vector<std::uint64_t> sizes{1000, 4097, 65537, 100003, 999999, kMax};
-  TileLevels upper;
-  RootAccumulator acc;
+  TileCascade upper;
   std::vector<Digest> roots;
   for (const Digest& leaf : leaves) {
-    acc.add(leaf, upper);
-    if (std::find(sizes.begin(), sizes.end(), acc.size()) != sizes.end()) {
-      roots.push_back(acc.root());
+    upper.append(leaf);
+    if (std::find(sizes.begin(), sizes.end(), upper.size()) != sizes.end()) {
+      roots.push_back(upper.root());
     }
   }
-  ResidentTileSource resident(leaves, upper);
+  LogTileSource resident(upper, leaves.size(), [&leaves](std::uint64_t first, std::uint64_t) {
+    return &leaves[static_cast<std::size_t>(first)];
+  });
   CountingTileSource source(resident);
   std::mt19937_64 rng(0x10C);
   for (std::size_t s = 0; s < sizes.size(); ++s) {
