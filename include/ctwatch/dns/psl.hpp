@@ -8,6 +8,7 @@
 // bundled snapshot, with the ability to add rules at runtime.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -129,20 +130,30 @@ class PublicSuffixList {
     bool wildcard = false;
     bool exception = false;
   };
-  // Compiled-rule cache for suffix_label_count_ids, keyed by the running
-  // hash of the reversed path. Bound to one pool at a time (recompiled on
-  // pool change or rule addition); all fields guarded by mu. Heap-held so
-  // the list itself stays copyable and movable.
-  struct CompiledCache {
-    std::mutex mu;
+  /// The rules compiled against one pool's label table, keyed by the
+  /// running hash of the reversed path. Immutable once published.
+  struct CompiledRules {
     // Keyed by NamePool::generation(), never by address: a fresh pool can
     // reuse a destroyed pool's address, and rule ids compiled against the
     // old pool would silently mis-match every multi-label suffix.
-    std::uint64_t pool_generation = 0;  // 0 = never compiled
+    std::uint64_t pool_generation = 0;
     std::size_t rule_count = 0;
     std::size_t max_depth = 0;
     std::unordered_map<std::uint64_t, std::vector<CompiledRule>> rules;
   };
+  // Compiled-rule cache for suffix_label_count_ids. Readers load the
+  // published snapshot without locking and use it when it matches their
+  // pool and the rule count; otherwise they take mu, which serializes
+  // compiles. Snapshots are never freed while the list lives (a reader
+  // may still hold one): one per pool the list served, ~15 KB each with
+  // the bundled rules, and a pool seen again reuses its snapshot.
+  // Heap-held so the list itself stays copyable and movable.
+  struct CompiledCache {
+    std::atomic<const CompiledRules*> current{nullptr};
+    std::mutex mu;
+    std::vector<std::unique_ptr<CompiledRules>> snapshots;  // under mu
+  };
+  [[nodiscard]] const CompiledRules& compiled_for(namepool::NamePool& pool) const;
   mutable std::unique_ptr<CompiledCache> compiled_ = std::make_unique<CompiledCache>();
 };
 

@@ -50,7 +50,9 @@ enum class ServerStatus : std::uint8_t { ok, timed_out, servfail };
 
 /// An authoritative server over a set of zones, with a full query log.
 /// Zone lookup is indexed by origin (ancestor walk), so serving tens of
-/// thousands of zones stays O(labels) per query.
+/// thousands of zones stays O(labels) per query. The walk probes each
+/// ancestor as a suffix view of the query name's text (NameKey), built
+/// once; the origin map's std::less<> compares views without copying.
 class AuthoritativeServer {
  public:
   AuthoritativeServer() = default;
@@ -78,6 +80,7 @@ class AuthoritativeServer {
 
   [[nodiscard]] Zone* find_zone(const DnsName& name);
   [[nodiscard]] const Zone* find_zone(const DnsName& name) const;
+  [[nodiscard]] const Zone* find_zone(const NameKey& key) const;
   [[nodiscard]] std::size_t zone_count() const { return zones_.size(); }
 
   /// Answers a query and appends it to the log (when logging is enabled).
@@ -87,6 +90,12 @@ class AuthoritativeServer {
   /// injector attached, `status` is always `ok`.
   std::vector<ResourceRecord> query(const DnsQuestion& question, const QueryContext& context,
                                     ServerStatus& status);
+
+  /// As above, for a caller that already walked the zones: `zone` must be
+  /// find_zone(qname) (null when no zone matches). The resolver asks this
+  /// way so each hop walks the zones once.
+  std::vector<ResourceRecord> query(const NameKey& qname, RrType qtype, const Zone* zone,
+                                    const QueryContext& context, ServerStatus& status);
 
   /// Attaches a fault injector; faults on `point` turn queries into
   /// timeouts or SERVFAILs. Pass nullptr to detach.
@@ -120,7 +129,7 @@ class AuthoritativeServer {
   }
 
  private:
-  std::map<std::string, std::unique_ptr<Zone>> zones_;  // keyed by origin text
+  std::map<std::string, std::unique_ptr<Zone>, std::less<>> zones_;  // keyed by origin text
   mutable std::mutex log_mu_;
   std::vector<QueryLogEntry> log_;
   bool logging_ = true;
@@ -136,6 +145,14 @@ class DnsUniverse {
 
   /// The server authoritative for the name (longest zone-origin match).
   [[nodiscard]] AuthoritativeServer* find_authoritative(const DnsName& name) const;
+
+  /// A server and the zone of it that matched.
+  struct Authority {
+    AuthoritativeServer* server = nullptr;
+    const Zone* zone = nullptr;
+  };
+  /// find_authoritative plus the matched zone, from one walk per server.
+  [[nodiscard]] Authority find_authority(const NameKey& key) const;
 
  private:
   std::vector<AuthoritativeServer*> servers_;
@@ -165,7 +182,9 @@ struct ResolveResult {
 
 /// A recursive resolver identity (e.g. Google Public DNS, a hoster's
 /// resolver). Resolution follows CNAME chains up to a hop limit — the
-/// paper follows "CNAME indirection up to 10 times".
+/// paper follows "CNAME indirection up to 10 times". Each hop builds the
+/// name's text once (NameKey) and walks the zones once: the authority
+/// search hands its matched zone to the query and to the no-data check.
 class RecursiveResolver {
  public:
   struct Identity {

@@ -252,43 +252,62 @@ constexpr std::uint64_t kPathHashBasis = 1469598103934665603ull;
 constexpr std::uint64_t kPathHashPrime = 1099511628211ull;
 }  // namespace
 
+const PublicSuffixList::CompiledRules& PublicSuffixList::compiled_for(
+    namepool::NamePool& pool) const {
+  CompiledCache& cache = *compiled_;
+  const auto matches = [&](const CompiledRules* compiled) {
+    return compiled != nullptr && compiled->pool_generation == pool.generation() &&
+           compiled->rule_count == rules_.size();
+  };
+  if (const CompiledRules* current = cache.current.load(std::memory_order_acquire);
+      matches(current)) {
+    return *current;
+  }
+  std::lock_guard<std::mutex> lock(cache.mu);
+  for (const auto& snapshot : cache.snapshots) {
+    if (matches(snapshot.get())) {
+      cache.current.store(snapshot.get(), std::memory_order_release);
+      return *snapshot;
+    }
+  }
+  // Compile every rule path to ids in `pool`'s label table. Interning
+  // (not find) keeps the ids valid even for labels no name has used yet.
+  auto compiled = std::make_unique<CompiledRules>();
+  for (const auto& [key, rule] : rules_) {
+    std::vector<namepool::LabelId> path;
+    path.reserve(rule.labels.size());
+    std::uint64_t hash = kPathHashBasis;
+    for (const std::string& label : rule.labels) {
+      const namepool::LabelId id = pool.labels().intern(label);
+      path.push_back(id);
+      hash = (hash ^ id) * kPathHashPrime;
+    }
+    auto& bucket = compiled->rules[hash];
+    CompiledRule* slot = nullptr;
+    for (CompiledRule& existing : bucket) {
+      if (existing.path == path) slot = &existing;
+    }
+    if (slot == nullptr) {
+      bucket.push_back(CompiledRule{std::move(path), false, false, false});
+      slot = &bucket.back();
+    }
+    switch (rule.kind) {
+      case RuleKind::normal: slot->normal = true; break;
+      case RuleKind::wildcard: slot->wildcard = true; break;
+      case RuleKind::exception: slot->exception = true; break;
+    }
+    compiled->max_depth = std::max(compiled->max_depth, slot->path.size());
+  }
+  compiled->pool_generation = pool.generation();
+  compiled->rule_count = rules_.size();
+  cache.current.store(compiled.get(), std::memory_order_release);
+  cache.snapshots.push_back(std::move(compiled));
+  return *cache.snapshots.back();
+}
+
 std::size_t PublicSuffixList::suffix_label_count_ids(
     namepool::NamePool& pool, std::span<const namepool::LabelId> ids) const {
-  CompiledCache& cache = *compiled_;
-  std::lock_guard<std::mutex> lock(cache.mu);
-  if (cache.pool_generation != pool.generation() || cache.rule_count != rules_.size()) {
-    // (Re)compile every rule path to ids in `pool`'s label table. Interning
-    // (not find) keeps the ids valid even for labels no name has used yet.
-    cache.rules.clear();
-    cache.max_depth = 0;
-    for (const auto& [key, rule] : rules_) {
-      std::vector<namepool::LabelId> path;
-      path.reserve(rule.labels.size());
-      std::uint64_t hash = kPathHashBasis;
-      for (const std::string& label : rule.labels) {
-        const namepool::LabelId id = pool.labels().intern(label);
-        path.push_back(id);
-        hash = (hash ^ id) * kPathHashPrime;
-      }
-      auto& bucket = cache.rules[hash];
-      CompiledRule* slot = nullptr;
-      for (CompiledRule& existing : bucket) {
-        if (existing.path == path) slot = &existing;
-      }
-      if (slot == nullptr) {
-        bucket.push_back(CompiledRule{std::move(path), false, false, false});
-        slot = &bucket.back();
-      }
-      switch (rule.kind) {
-        case RuleKind::normal: slot->normal = true; break;
-        case RuleKind::wildcard: slot->wildcard = true; break;
-        case RuleKind::exception: slot->exception = true; break;
-      }
-      cache.max_depth = std::max(cache.max_depth, slot->path.size());
-    }
-    cache.pool_generation = pool.generation();
-    cache.rule_count = rules_.size();
-  }
+  const CompiledRules& cache = compiled_for(pool);
 
   // Same decision procedure as the string overload, on integers: walk the
   // reversed path depth by depth with a running hash. No rule is longer

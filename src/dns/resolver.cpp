@@ -32,23 +32,30 @@ ResolverMetrics& resolver_metrics() {
 }  // namespace
 
 Zone& AuthoritativeServer::add_zone(DnsName origin) {
-  const std::string key = origin.to_string();
-  auto& slot = zones_[key];
-  slot = std::make_unique<Zone>(std::move(origin));
+  auto zone = std::make_unique<Zone>(std::move(origin));
+  auto& slot = zones_[zone->origin_text()];
+  slot = std::move(zone);
   return *slot;
 }
 
-Zone* AuthoritativeServer::find_zone(const DnsName& name) {
-  // Walk from the most specific ancestor (the name itself) towards the TLD.
-  for (std::size_t drop = 0; drop < name.label_count(); ++drop) {
-    const auto it = zones_.find(name.parent(drop).to_string());
+const Zone* AuthoritativeServer::find_zone(const NameKey& key) const {
+  // Walk from the most specific ancestor (the name itself) towards the
+  // TLD, each a suffix of the name's text; labels never contain '.'.
+  std::string_view ancestor = key.text;
+  for (std::size_t drop = 0; drop < key.name.label_count(); ++drop) {
+    if (drop > 0) ancestor.remove_prefix(ancestor.find('.') + 1);
+    const auto it = zones_.find(ancestor);
     if (it != zones_.end()) return it->second.get();
   }
   return nullptr;
 }
 
+Zone* AuthoritativeServer::find_zone(const DnsName& name) {
+  return const_cast<Zone*>(find_zone(NameKey(name)));
+}
+
 const Zone* AuthoritativeServer::find_zone(const DnsName& name) const {
-  return const_cast<AuthoritativeServer*>(this)->find_zone(name);
+  return find_zone(NameKey(name));
 }
 
 std::vector<ResourceRecord> AuthoritativeServer::query(const DnsQuestion& question,
@@ -58,6 +65,14 @@ std::vector<ResourceRecord> AuthoritativeServer::query(const DnsQuestion& questi
 }
 
 std::vector<ResourceRecord> AuthoritativeServer::query(const DnsQuestion& question,
+                                                       const QueryContext& context,
+                                                       ServerStatus& status) {
+  const NameKey key(question.qname);
+  return query(key, question.qtype, find_zone(key), context, status);
+}
+
+std::vector<ResourceRecord> AuthoritativeServer::query(const NameKey& qname, RrType qtype,
+                                                       const Zone* zone,
                                                        const QueryContext& context,
                                                        ServerStatus& status) {
   status = ServerStatus::ok;
@@ -77,32 +92,34 @@ std::vector<ResourceRecord> AuthoritativeServer::query(const DnsQuestion& questi
       resolver_metrics().auth_servfail.inc();
       if (logging_) {
         std::lock_guard<std::mutex> lock(log_mu_);
-        log_.push_back(QueryLogEntry{question, context, false});
+        log_.push_back(QueryLogEntry{DnsQuestion{qname.name, qtype}, context, false});
       }
       return {};
     }
   }
   std::vector<ResourceRecord> answers;
-  if (const Zone* zone = find_zone(question.qname)) {
-    answers = zone->lookup(question.qname, question.qtype);
-  }
+  if (zone != nullptr) answers = zone->lookup(qname, qtype);
   if (logging_) {
     std::lock_guard<std::mutex> lock(log_mu_);
-    log_.push_back(QueryLogEntry{question, context, !answers.empty()});
+    log_.push_back(QueryLogEntry{DnsQuestion{qname.name, qtype}, context, !answers.empty()});
   }
   return answers;
 }
 
 AuthoritativeServer* DnsUniverse::find_authoritative(const DnsName& name) const {
-  AuthoritativeServer* best = nullptr;
+  return find_authority(NameKey(name)).server;
+}
+
+DnsUniverse::Authority DnsUniverse::find_authority(const NameKey& key) const {
+  Authority best;
   std::size_t best_labels = 0;
   for (AuthoritativeServer* server : servers_) {
-    if (const Zone* zone = server->find_zone(name)) {
+    if (const Zone* zone = server->find_zone(key)) {
       if (zone->origin().label_count() >= best_labels) {
         // ">=" so a later-registered, equally specific server wins; zone
         // origins are unique in practice.
         best_labels = zone->origin().label_count();
-        best = server;
+        best = Authority{server, zone};
       }
     }
   }
@@ -148,14 +165,16 @@ ResolveResult RecursiveResolver::resolve(const DnsName& qname, RrType qtype, Sim
 
   DnsName current = qname;
   for (int hop = 0; hop <= max_cname_hops; ++hop) {
-    AuthoritativeServer* server = universe_->find_authoritative(current);
-    if (server == nullptr) {
+    const NameKey key(current);
+    const DnsUniverse::Authority authority = universe_->find_authority(key);
+    if (authority.server == nullptr) {
       result.status = ResolveStatus::nxdomain;
       metrics.nxdomain.inc();
       return result;
     }
     ServerStatus server_status = ServerStatus::ok;
-    const auto answers = server->query(DnsQuestion{current, qtype}, context, server_status);
+    std::vector<ResourceRecord> answers =
+        authority.server->query(key, qtype, authority.zone, context, server_status);
     if (server_status != ServerStatus::ok) {
       result.status = server_status == ServerStatus::timed_out ? ResolveStatus::timed_out
                                                                : ResolveStatus::servfail;
@@ -165,15 +184,8 @@ ResolveResult RecursiveResolver::resolve(const DnsName& qname, RrType qtype, Sim
     if (answers.empty()) {
       // Distinguish "zone knows nothing" from "name exists with other data":
       // keep it simple and report no_data when any record type exists.
-      const Zone* zone = server->find_zone(current);
-      bool exists = false;
-      for (RrType probe : {RrType::A, RrType::AAAA, RrType::CNAME, RrType::TXT, RrType::MX,
-                           RrType::NS, RrType::SOA}) {
-        if (probe != qtype && zone != nullptr && !zone->lookup(current, probe).empty()) {
-          exists = true;
-          break;
-        }
-      }
+      const bool exists =
+          authority.zone != nullptr && authority.zone->has_data_other_than(key, qtype);
       result.status = exists ? ResolveStatus::no_data : ResolveStatus::nxdomain;
       (exists ? metrics.no_data : metrics.nxdomain).inc();
       return result;
@@ -192,7 +204,7 @@ ResolveResult RecursiveResolver::resolve(const DnsName& qname, RrType qtype, Sim
       continue;
     }
     result.status = ResolveStatus::ok;
-    result.answers = answers;
+    result.answers = std::move(answers);
     metrics.answered.inc();
     return result;
   }

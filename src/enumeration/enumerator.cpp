@@ -51,24 +51,57 @@ struct DomainGroup {
 };
 
 /// Groups the domain list by interned public suffix. Only registrable
-/// domains themselves participate in construction.
+/// domains themselves participate in construction. Parsing and splitting
+/// run in parallel chunks (the pool interns canonically, so no ref depends
+/// on which thread interned it); grouping then walks the list in order, so
+/// every group lists its domains in list order at any thread count.
 std::unordered_map<namepool::NameRef, DomainGroup, namepool::NameRefHash> group_domains(
     namepool::NamePool& pool, const dns::PublicSuffixList& psl,
     const std::vector<std::string>& domain_list) {
-  std::unordered_map<namepool::NameRef, DomainGroup, namepool::NameRefHash> by_suffix;
-  for (const std::string& domain : domain_list) {
-    const auto ref = dns::DnsName::parse_into(pool, domain);
-    if (!ref) continue;
-    const auto split = psl.split(pool, *ref);
-    if (!split) continue;
-    if (split->subdomain_label_count == 0) {
-      DomainGroup& group = by_suffix[split->public_suffix];
-      group.domains.push_back({&domain, *ref});
-      group.refs.push_back(*ref);
-      group.max_text = std::max(group.max_text, domain.size());
+  struct Registrable {
+    namepool::NameRef suffix;
+    namepool::NameRef ref;  // empty when the entry is not a registrable domain
+  };
+  std::vector<Registrable> parsed(domain_list.size());
+  par::parallel_for_chunks(domain_list.size(), 1024, [&](std::size_t, par::IndexRange range) {
+    for (std::size_t i = range.begin; i < range.end; ++i) {
+      const auto ref = dns::DnsName::parse_into(pool, domain_list[i]);
+      if (!ref) continue;
+      const auto split = psl.split(pool, *ref);
+      if (split && split->subdomain_label_count == 0) parsed[i] = {split->public_suffix, *ref};
     }
+  });
+  std::unordered_map<namepool::NameRef, DomainGroup, namepool::NameRefHash> by_suffix;
+  for (std::size_t i = 0; i < domain_list.size(); ++i) {
+    if (parsed[i].ref.empty()) continue;
+    DomainGroup& group = by_suffix[parsed[i].suffix];
+    group.domains.push_back({&domain_list[i], parsed[i].ref});
+    group.refs.push_back(parsed[i].ref);
+    group.max_text = std::max(group.max_text, domain_list[i].size());
   }
   return by_suffix;
+}
+
+/// Composes `label` onto every domain of `group` whose textual form stays
+/// within 253 characters (longer ones would not parse), in group order,
+/// with one with_prefix_batch. Appends the refs to `out`, returns how many
+/// were new to the pool and counts the skipped domains into `too_long`.
+std::uint64_t compose_group(namepool::NamePool& pool, namepool::LabelId label,
+                            const DomainGroup& group, std::vector<namepool::NameRef>& admitted,
+                            std::vector<namepool::NameRef>& out, std::uint64_t& too_long) {
+  const std::size_t label_len = pool.labels().text(label).size();
+  if (label_len + 1 + group.max_text <= 253) {
+    return pool.with_prefix_batch(label, group.refs, out);  // the whole group fits
+  }
+  admitted.clear();
+  for (const ConstructionDomain& domain : group.domains) {
+    if (label_len + 1 + domain.text->size() > 253) {
+      ++too_long;
+      continue;
+    }
+    admitted.push_back(domain.ref);
+  }
+  return pool.with_prefix_batch(label, admitted, out);
 }
 
 }  // namespace
@@ -147,24 +180,10 @@ SubdomainEnumerator::CandidateSet SubdomainEnumerator::generate_candidates(
       const PlanEntry& entry = plan[i];
       const auto it = by_suffix.find(entry.suffix);
       if (it == by_suffix.end()) continue;
-      const DomainGroup& group = it->second;
-      const std::size_t label_len = pool.labels().text(entry.label).size();
-      if (label_len + 1 + group.max_text <= 253) {
-        // Whole group fits: one lock acquisition for the entire suffix.
-        part.unique += pool.with_prefix_batch(entry.label, group.refs, part.refs);
-        part.composed += group.refs.size();
-      } else {
-        admitted.clear();
-        for (const ConstructionDomain& domain : group.domains) {
-          if (label_len + 1 + domain.text->size() > 253) {
-            ++part.too_long;
-            continue;
-          }
-          admitted.push_back(domain.ref);
-        }
-        part.unique += pool.with_prefix_batch(entry.label, admitted, part.refs);
-        part.composed += admitted.size();
-      }
+      const std::size_t before = part.refs.size();
+      part.unique += compose_group(pool, entry.label, it->second, admitted, part.refs,
+                                   part.too_long);
+      part.composed += part.refs.size() - before;
     }
   });
   out.refs.reserve(upper_bound);
@@ -262,10 +281,22 @@ FunnelResult SubdomainEnumerator::run(const std::vector<std::string>& domain_lis
       return probe_name(*name);
     };
 
+    std::vector<namepool::NameRef> admitted;  // compose_group scratch
+    std::vector<namepool::NameRef> composed;
     for (std::size_t i = range.begin; i < range.end; ++i) {
       const PlanEntry& entry = plan[i];
       const auto it = by_suffix.find(entry.suffix);
       if (it == by_suffix.end()) continue;
+      // Candidate composition is integer work against the pool, one batch
+      // per plan entry; only a name whose textual form would be
+      // unparseable (> 253 chars) is skipped, mirroring the string path's
+      // parse failure. Distinct plan entries never compose the same FQDN,
+      // so the per-entry fresh counts add up to the exact unique count.
+      composed.clear();
+      std::uint64_t too_long = 0;
+      part.unique_candidates +=
+          compose_group(pool, entry.label, it->second, admitted, composed, too_long);
+      std::size_t next_composed = 0;
       const std::string_view label_text = pool.labels().text(entry.label);
       for (const ConstructionDomain& domain : it->second.domains) {
         ++part.candidates;
@@ -275,14 +306,9 @@ FunnelResult SubdomainEnumerator::run(const std::vector<std::string>& domain_lis
         candidate += '.';
         candidate += *domain.text;
 
-        // Candidate composition is integer work against the pool; only a
-        // name whose textual form would be unparseable (> 253 chars) is
-        // skipped, mirroring the string path's parse failure.
         Probe test;
         if (candidate.size() <= 253) {
-          const auto comp = pool.with_prefix(domain.ref, entry.label);
-          if (comp.fresh) ++part.unique_candidates;
-          test = probe_name(dns::DnsName::materialize(pool, comp.ref));
+          test = probe_name(dns::DnsName::materialize(pool, composed[next_composed++]));
         }
         if (test.lost) {
           // The test answer is unknown; probing the control could not make

@@ -1,5 +1,10 @@
 #include "ctwatch/namepool/namepool.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <memory>
+#include <new>
 #include <stdexcept>
 
 #include "ctwatch/obs/obs.hpp"
@@ -35,7 +40,116 @@ std::uint64_t hash_bytes(const void* data, std::size_t len) {
   return h ^ (h >> 31);
 }
 
+// Accounts a change of `delta` held bytes to `bytes` and the
+// namepool.bytes gauge (unsigned wrap-around subtracts a negative delta).
+void account_bytes(std::atomic<std::size_t>& bytes, std::int64_t delta) {
+  if (delta == 0) return;
+  bytes.fetch_add(static_cast<std::size_t>(delta), std::memory_order_relaxed);
+  pool_metrics().bytes.add(delta);
+}
+
+// Per stripe: an empty index's stripes start at 1024 slots in all.
+constexpr std::size_t kInitialIndexSlots = 1024 / detail::StripedIndex::kStripes;
+
 }  // namespace
+
+// ------------------------------------------------------------ StripedIndex
+
+namespace detail {
+
+StripedIndex::Table::Table(std::size_t size) : mask_(size - 1) {
+  static const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  bytes_ = (size * sizeof(std::atomic<std::uint32_t>) + page - 1) / page * page;
+  void* pages = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (pages == MAP_FAILED) throw std::bad_alloc();
+  slots_ = static_cast<std::atomic<std::uint32_t>*>(pages);
+  std::uninitialized_value_construct_n(slots_, size);
+}
+
+StripedIndex::Table::~Table() { munmap(slots_, bytes_); }
+
+void StripedIndex::Table::release() {
+  // Private anonymous pages read back as zeros after MADV_DONTNEED; a
+  // reader probing this table concurrently sees either the old slots or
+  // empty ones, never anything else.
+  madvise(slots_, bytes_, MADV_DONTNEED);
+}
+
+template <typename Match>
+std::optional<std::uint32_t> StripedIndex::probe(const Stripe& stripe, std::uint64_t hash,
+                                                 Match& match) {
+  const Table* table = stripe.current.load(std::memory_order_acquire);
+  if (table == nullptr) return std::nullopt;
+  for (std::size_t slot = static_cast<std::size_t>(hash) & table->mask();;
+       slot = (slot + 1) & table->mask()) {
+    // Acquire pairs with the inserter's release: the entry is visible.
+    const std::uint32_t stored = table->slot(slot).load(std::memory_order_acquire);
+    if (stored == 0) return std::nullopt;
+    if (match(stored - 1)) return stored - 1;
+  }
+}
+
+template <typename Match>
+std::optional<std::uint32_t> StripedIndex::find(std::uint64_t hash, Match&& match) const {
+  Stripe& stripe = stripes_[stripe_of(hash)];
+  if (const auto value = probe(stripe, hash, match)) return value;
+  // A lock-free miss can be stale: the value may have been inserted into
+  // a table published after ours. Inserts happen under mu, so this
+  // re-probe is authoritative.
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  return probe(stripe, hash, match);
+}
+
+template <typename Match, typename Create, typename Rehash>
+StripedIndex::Found StripedIndex::find_or_insert(std::uint64_t hash, Match&& match,
+                                                 Create&& create, Rehash&& rehash,
+                                                 std::int64_t& bytes) {
+  const std::size_t index = stripe_of(hash);
+  Stripe& stripe = stripes_[index];
+  if (const auto value = probe(stripe, hash, match)) return Found{*value, false};
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  if (const auto value = probe(stripe, hash, match)) return Found{*value, false};
+
+  const auto place = [](const Table& table, std::uint64_t h, std::uint32_t stored) {
+    std::size_t slot = static_cast<std::size_t>(h) & table.mask();
+    while (table.slot(slot).load(std::memory_order_relaxed) != 0) slot = (slot + 1) & table.mask();
+    table.slot(slot).store(stored, std::memory_order_release);
+  };
+  if (stripe.tables.empty()) {
+    stripe.tables.push_back(std::make_unique<Table>(kInitialIndexSlots));
+    bytes += static_cast<std::int64_t>(stripe.tables.back()->bytes());
+    stripe.current.store(stripe.tables.back().get(), std::memory_order_release);
+  }
+  const std::uint32_t value = create(index);  // published before it is indexed
+  Table& table = *stripe.tables.back();
+  place(table, hash, value + 1);
+  const std::size_t used = stripe.used.load(std::memory_order_relaxed) + 1;
+  stripe.used.store(used, std::memory_order_relaxed);
+  const std::size_t size = table.mask() + 1;
+  if (used * 10 > size * 7) {
+    // Build the bigger table in full, then publish it; readers holding
+    // the old one keep a consistent (if stale) view of it until its
+    // pages are released, and an empty one after.
+    auto bigger = std::make_unique<Table>(size * 2);
+    for (std::size_t i = 0; i < size; ++i) {
+      const std::uint32_t stored = table.slot(i).load(std::memory_order_relaxed);
+      if (stored != 0) place(*bigger, rehash(stored - 1), stored);
+    }
+    stripe.current.store(bigger.get(), std::memory_order_release);
+    table.release();
+    bytes += static_cast<std::int64_t>(bigger->bytes()) - static_cast<std::int64_t>(table.bytes());
+    stripe.tables.push_back(std::move(bigger));
+  }
+  return Found{value, true};
+}
+
+std::size_t StripedIndex::size() const {
+  std::size_t total = 0;
+  for (const Stripe& stripe : stripes_) total += stripe.used.load(std::memory_order_relaxed);
+  return total;
+}
+
+}  // namespace detail
 
 // ---------------------------------------------------------------- LabelTable
 
@@ -49,112 +163,69 @@ LabelTable::~LabelTable() {
 }
 
 std::string_view LabelTable::text(LabelId id) const {
-  const Entry* block = blocks_[id / kEntriesPerBlock].load(std::memory_order_acquire);
-  const Entry& entry = block[id % kEntriesPerBlock];
-  return {entry.ptr, entry.len};
+  const Entry& e = entry(id);
+  return {e.ptr, e.len};
 }
 
-const char* LabelTable::store_text(std::string_view text) {
-  // The empty-string check doubles as the chunks_.empty() guard: a
-  // zero-length first intern must not reach chunks_.back().
-  if (chunks_.empty() || chunk_cap_ - chunk_used_ < text.size()) {
-    const std::size_t cap = text.size() > kMinChunk ? text.size() : kMinChunk;
-    chunks_.push_back(std::make_unique<char[]>(cap));
-    chunk_cap_ = cap;
-    chunk_used_ = 0;
-    bytes_.fetch_add(cap, std::memory_order_relaxed);
-    pool_metrics().bytes.add(static_cast<std::int64_t>(cap));
-  }
-  char* dst = chunks_.back().get() + chunk_used_;
-  std::memcpy(dst, text.data(), text.size());
-  chunk_used_ += text.size();
-  return dst;
-}
-
-LabelId LabelTable::intern(std::string_view text) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t hash = hash_bytes(text.data(), text.size());
-
-  auto probe = [&](const std::vector<std::uint32_t>& index) -> std::size_t {
-    const std::size_t mask = index.size() - 1;
-    std::size_t slot = static_cast<std::size_t>(hash) & mask;
-    while (index[slot] != 0) {
-      const LabelId id = index[slot] - 1;
-      const Entry* block = blocks_[id / kEntriesPerBlock].load(std::memory_order_relaxed);
-      const Entry& entry = block[id % kEntriesPerBlock];
-      if (entry.len == text.size() && std::memcmp(entry.ptr, text.data(), entry.len) == 0) {
-        return slot;
-      }
-      slot = (slot + 1) & mask;
-    }
-    return slot;
-  };
-
-  if (index_.empty()) {
-    index_.assign(1u << 10, 0);
-    bytes_.fetch_add(index_.size() * sizeof(std::uint32_t), std::memory_order_relaxed);
-    pool_metrics().bytes.add(static_cast<std::int64_t>(index_.size() * sizeof(std::uint32_t)));
-  }
-  std::size_t slot = probe(index_);
-  if (index_[slot] != 0) {
-    pool_metrics().label_hits.inc();
-    return index_[slot] - 1;
-  }
-
-  const std::uint32_t id = count_.load(std::memory_order_relaxed);
+LabelId LabelTable::create(std::size_t stripe, std::string_view text) {
+  const LabelId id = count_.fetch_add(1, std::memory_order_relaxed);
   if (id / kEntriesPerBlock >= kMaxBlocks) {
     throw std::length_error("LabelTable: table full");
   }
-  Entry* block = blocks_[id / kEntriesPerBlock].load(std::memory_order_relaxed);
+  std::atomic<Entry*>& slot = blocks_[id / kEntriesPerBlock];
+  Entry* block = slot.load(std::memory_order_acquire);
   if (block == nullptr) {
-    block = new Entry[kEntriesPerBlock];
-    blocks_[id / kEntriesPerBlock].store(block, std::memory_order_release);
-    bytes_.fetch_add(kEntriesPerBlock * sizeof(Entry), std::memory_order_relaxed);
-    pool_metrics().bytes.add(static_cast<std::int64_t>(kEntriesPerBlock * sizeof(Entry)));
-  }
-  block[id % kEntriesPerBlock] = Entry{store_text(text), static_cast<std::uint32_t>(text.size())};
-  count_.store(id + 1, std::memory_order_release);  // publish the entry
-
-  index_[slot] = id + 1;
-  if (++index_used_ * 10 > index_.size() * 7) {
-    std::vector<std::uint32_t> bigger(index_.size() * 2, 0);
-    const std::int64_t delta =
-        static_cast<std::int64_t>(bigger.size() - index_.size()) *
-        static_cast<std::int64_t>(sizeof(std::uint32_t));
-    index_.swap(bigger);
-    for (const std::uint32_t stored : bigger) {
-      if (stored == 0) continue;
-      const Entry* b = blocks_[(stored - 1) / kEntriesPerBlock].load(std::memory_order_relaxed);
-      const Entry& entry = b[(stored - 1) % kEntriesPerBlock];
-      const std::uint64_t h = hash_bytes(entry.ptr, entry.len);
-      const std::size_t mask = index_.size() - 1;
-      std::size_t s = static_cast<std::size_t>(h) & mask;
-      while (index_[s] != 0) s = (s + 1) & mask;
-      index_[s] = stored;
+    // Stripes race to allocate a block; exactly one wins the CAS.
+    auto* fresh = new Entry[kEntriesPerBlock];
+    if (slot.compare_exchange_strong(block, fresh, std::memory_order_acq_rel)) {
+      block = fresh;
+      account_bytes(bytes_, kEntriesPerBlock * sizeof(Entry));
+    } else {
+      delete[] fresh;
     }
-    bytes_.fetch_add(static_cast<std::size_t>(delta), std::memory_order_relaxed);
-    pool_metrics().bytes.add(delta);
   }
+  // The stripe's text arena; a zero-length first intern still gets a
+  // chunk, so the entry's pointer is never null.
+  TextArena& arena = arenas_[stripe];
+  if (arena.chunks.empty() || arena.cap - arena.used < text.size()) {
+    const std::size_t cap = text.size() > kMinChunk ? text.size() : kMinChunk;
+    arena.chunks.push_back(std::unique_ptr<char[]>(new char[cap]));
+    arena.cap = cap;
+    arena.used = 0;
+    account_bytes(bytes_, cap);
+  }
+  char* dst = arena.chunks.back().get() + arena.used;
+  std::memcpy(dst, text.data(), text.size());
+  arena.used += text.size();
+  block[id % kEntriesPerBlock] = Entry{dst, static_cast<std::uint32_t>(text.size())};
   pool_metrics().labels.add(1);
   return id;
 }
 
+LabelId LabelTable::intern(std::string_view text) {
+  std::int64_t bytes = 0;
+  const detail::StripedIndex::Found found = index_.find_or_insert(
+      hash_bytes(text.data(), text.size()),
+      [&](std::uint32_t id) {
+        const Entry& e = entry(id);
+        return e.len == text.size() && std::memcmp(e.ptr, text.data(), e.len) == 0;
+      },
+      [&](std::size_t stripe) { return create(stripe, text); },
+      [this](std::uint32_t id) {
+        const Entry& e = entry(id);
+        return hash_bytes(e.ptr, e.len);
+      },
+      bytes);
+  account_bytes(bytes_, bytes);
+  if (!found.fresh) pool_metrics().label_hits.inc();
+  return found.value;
+}
+
 std::optional<LabelId> LabelTable::find(std::string_view text) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (index_.empty()) return std::nullopt;
-  const std::uint64_t hash = hash_bytes(text.data(), text.size());
-  const std::size_t mask = index_.size() - 1;
-  std::size_t slot = static_cast<std::size_t>(hash) & mask;
-  while (index_[slot] != 0) {
-    const LabelId id = index_[slot] - 1;
-    const Entry* block = blocks_[id / kEntriesPerBlock].load(std::memory_order_relaxed);
-    const Entry& entry = block[id % kEntriesPerBlock];
-    if (entry.len == text.size() && std::memcmp(entry.ptr, text.data(), entry.len) == 0) {
-      return id;
-    }
-    slot = (slot + 1) & mask;
-  }
-  return std::nullopt;
+  return index_.find(hash_bytes(text.data(), text.size()), [&](std::uint32_t id) {
+    const Entry& e = entry(id);
+    return e.len == text.size() && std::memcmp(e.ptr, text.data(), e.len) == 0;
+  });
 }
 
 // ------------------------------------------------------------------ NamePool
@@ -162,7 +233,7 @@ std::optional<LabelId> LabelTable::find(std::string_view text) const {
 NamePool::~NamePool() {
   PoolMetrics& metrics = pool_metrics();
   metrics.bytes.add(-static_cast<std::int64_t>(bytes_.load(std::memory_order_relaxed)));
-  metrics.names.add(-static_cast<std::int64_t>(names_.load(std::memory_order_relaxed)));
+  metrics.names.add(-static_cast<std::int64_t>(dedup_.size()));
   for (auto& block : blocks_) {
     delete[] block.load(std::memory_order_relaxed);
   }
@@ -179,87 +250,63 @@ std::span<const LabelId> NamePool::ids(NameRef ref) const {
 }
 
 bool NamePool::ids_equal(std::uint32_t offset, std::span<const LabelId> wanted) const {
-  const LabelId* block = blocks_[offset / kIdsPerBlock].load(std::memory_order_relaxed);
+  const LabelId* block = blocks_[offset / kIdsPerBlock].load(std::memory_order_acquire);
   const std::size_t at = offset % kIdsPerBlock;
   if (block[at - 1] != wanted.size()) return false;
   return std::memcmp(block + at, wanted.data(), wanted.size_bytes()) == 0;
 }
 
-std::uint32_t NamePool::append_ids(std::span<const LabelId> ids) {
-  const std::size_t need = ids.size() + 1;  // [count][ids...]
-  std::uint32_t used = arena_used_.load(std::memory_order_relaxed);
-  // A name never spans blocks; skip the block tail when it cannot fit.
-  if (kIdsPerBlock - used % kIdsPerBlock < need) {
-    used += static_cast<std::uint32_t>(kIdsPerBlock - used % kIdsPerBlock);
-  }
-  if (used / kIdsPerBlock >= kMaxBlocks || need > kIdsPerBlock) {
+std::uint32_t NamePool::claim_run(std::size_t run) {
+  std::lock_guard<std::mutex> lock(arena_mu_);
+  std::size_t used = arena_used_;
+  // A run never spans blocks; skip the block tail when it cannot fit.
+  if (kIdsPerBlock - used % kIdsPerBlock < run) used += kIdsPerBlock - used % kIdsPerBlock;
+  if (used / kIdsPerBlock >= kMaxBlocks || run > kIdsPerBlock) {
     throw std::length_error("NamePool: arena full");
   }
-  LabelId* block = blocks_[used / kIdsPerBlock].load(std::memory_order_relaxed);
-  if (block == nullptr) {
-    block = new LabelId[kIdsPerBlock];
-    blocks_[used / kIdsPerBlock].store(block, std::memory_order_release);
-    bytes_.fetch_add(kIdsPerBlock * sizeof(LabelId), std::memory_order_relaxed);
-    pool_metrics().bytes.add(static_cast<std::int64_t>(kIdsPerBlock * sizeof(LabelId)));
+  if (blocks_[used / kIdsPerBlock].load(std::memory_order_relaxed) == nullptr) {
+    blocks_[used / kIdsPerBlock].store(new LabelId[kIdsPerBlock], std::memory_order_release);
+    account_bytes(bytes_, kIdsPerBlock * sizeof(LabelId));
   }
-  const std::size_t at = used % kIdsPerBlock;
+  arena_used_ = static_cast<std::uint32_t>(used + run);
+  return static_cast<std::uint32_t>(used);
+}
+
+std::uint32_t NamePool::append_ids(std::size_t stripe, std::span<const LabelId> ids) {
+  IdRun& run = runs_[stripe];
+  const std::size_t need = ids.size() + 1;  // [count][ids...]
+  if (run.end - run.next < need) {
+    const std::size_t size = need > kRunIds ? need : kRunIds;
+    run.next = claim_run(size);
+    run.end = run.next + static_cast<std::uint32_t>(size);
+  }
+  LabelId* block = blocks_[run.next / kIdsPerBlock].load(std::memory_order_relaxed);
+  const std::size_t at = run.next % kIdsPerBlock;
   block[at] = static_cast<LabelId>(ids.size());
   std::memcpy(block + at + 1, ids.data(), ids.size_bytes());
-  const std::uint32_t offset = used + 1;
-  arena_used_.store(used + static_cast<std::uint32_t>(need), std::memory_order_release);
+  const std::uint32_t offset = run.next + 1;
+  run.next += static_cast<std::uint32_t>(need);
   return offset;
 }
 
-void NamePool::grow_dedup() {
-  const std::size_t old_bytes = dedup_.size() * sizeof(std::uint32_t);
-  std::vector<std::uint32_t> old(dedup_.size() * 2, 0);
-  dedup_.swap(old);
-  for (const std::uint32_t stored : old) {
-    if (stored == 0) continue;
-    const std::uint32_t offset = stored - 1;
-    const LabelId* block = blocks_[offset / kIdsPerBlock].load(std::memory_order_relaxed);
-    const std::size_t at = offset % kIdsPerBlock;
-    const std::uint64_t h = hash_bytes(block + at, block[at - 1] * sizeof(LabelId));
-    const std::size_t mask = dedup_.size() - 1;
-    std::size_t slot = static_cast<std::size_t>(h) & mask;
-    while (dedup_[slot] != 0) slot = (slot + 1) & mask;
-    dedup_[slot] = stored;
-  }
-  const std::int64_t delta =
-      static_cast<std::int64_t>(dedup_.size() * sizeof(std::uint32_t) - old_bytes);
-  bytes_.fetch_add(static_cast<std::size_t>(delta), std::memory_order_relaxed);
-  pool_metrics().bytes.add(delta);
-}
-
-NamePool::Interned NamePool::intern_ids_locked(std::span<const LabelId> ids) {
-  if (dedup_.empty()) {
-    dedup_.assign(1u << 10, 0);
-    bytes_.fetch_add(dedup_.size() * sizeof(std::uint32_t), std::memory_order_relaxed);
-    pool_metrics().bytes.add(static_cast<std::int64_t>(dedup_.size() * sizeof(std::uint32_t)));
-  }
-  const std::uint64_t hash = hash_ids(ids);
-  const std::size_t mask = dedup_.size() - 1;
-  std::size_t slot = static_cast<std::size_t>(hash) & mask;
-  while (dedup_[slot] != 0) {
-    if (ids_equal(dedup_[slot] - 1, ids)) {
-      return Interned{NameRef{dedup_[slot] - 1, static_cast<std::uint32_t>(ids.size())}, false};
-    }
-    slot = (slot + 1) & mask;
-  }
-  const std::uint32_t offset = append_ids(ids);
-  dedup_[slot] = offset + 1;
-  if (++dedup_used_ * 10 > dedup_.size() * 7) grow_dedup();
-  names_.fetch_add(1, std::memory_order_relaxed);
-  return Interned{NameRef{offset, static_cast<std::uint32_t>(ids.size())}, true};
+NamePool::Interned NamePool::intern_hashed(std::uint64_t hash, std::span<const LabelId> ids) {
+  std::int64_t bytes = 0;
+  const detail::StripedIndex::Found found = dedup_.find_or_insert(
+      hash, [&](std::uint32_t offset) { return ids_equal(offset, ids); },
+      [&](std::size_t stripe) { return append_ids(stripe, ids); },
+      [this](std::uint32_t offset) {
+        const LabelId* block = blocks_[offset / kIdsPerBlock].load(std::memory_order_relaxed);
+        const std::size_t at = offset % kIdsPerBlock;
+        return hash_bytes(block + at, block[at - 1] * sizeof(LabelId));
+      },
+      bytes);
+  account_bytes(bytes_, bytes);
+  return Interned{NameRef{found.value, static_cast<std::uint32_t>(ids.size())}, found.fresh};
 }
 
 NamePool::Interned NamePool::intern_ids(std::span<const LabelId> ids) {
   if (ids.empty()) return Interned{NameRef{0, 0}, false};
-  Interned out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out = intern_ids_locked(ids);
-  }
+  const Interned out = intern_hashed(hash_ids(ids), ids);
   PoolMetrics& metrics = pool_metrics();
   if (out.fresh) {
     metrics.names.add(1);
@@ -300,18 +347,10 @@ NamePool::Interned NamePool::intern_text(std::string_view dotted) {
 
 std::optional<NameRef> NamePool::find_ids(std::span<const LabelId> ids) const {
   if (ids.empty()) return NameRef{0, 0};
-  std::lock_guard<std::mutex> lock(mu_);
-  if (dedup_.empty()) return std::nullopt;
-  const std::uint64_t hash = hash_ids(ids);
-  const std::size_t mask = dedup_.size() - 1;
-  std::size_t slot = static_cast<std::size_t>(hash) & mask;
-  while (dedup_[slot] != 0) {
-    if (ids_equal(dedup_[slot] - 1, ids)) {
-      return NameRef{dedup_[slot] - 1, static_cast<std::uint32_t>(ids.size())};
-    }
-    slot = (slot + 1) & mask;
-  }
-  return std::nullopt;
+  const auto offset =
+      dedup_.find(hash_ids(ids), [&](std::uint32_t stored) { return ids_equal(stored, ids); });
+  if (!offset) return std::nullopt;
+  return NameRef{*offset, static_cast<std::uint32_t>(ids.size())};
 }
 
 std::string NamePool::to_string(NameRef ref) const {
@@ -345,30 +384,25 @@ std::uint64_t NamePool::with_prefix_batch(LabelId label, std::span<const NameRef
   std::vector<LabelId> heap;
   stack[0] = label;
   out.reserve(out.size() + suffixes.size());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const NameRef suffix : suffixes) {
-      const std::span<const LabelId> suffix_ids = ids(suffix);
-      std::span<const LabelId> combined;
-      if (suffix_ids.size() + 1 <= 64) {
-        if (!suffix_ids.empty()) {
-          std::memcpy(stack + 1, suffix_ids.data(), suffix_ids.size_bytes());
-        }
-        combined = std::span<const LabelId>(stack, suffix_ids.size() + 1);
-      } else {
-        heap.clear();
-        heap.reserve(suffix_ids.size() + 1);
-        heap.push_back(label);
-        heap.insert(heap.end(), suffix_ids.begin(), suffix_ids.end());
-        combined = heap;
-      }
-      const Interned comp = intern_ids_locked(combined);
-      out.push_back(comp.ref);
-      if (comp.fresh) {
-        ++fresh;
-      } else {
-        ++hits;
-      }
+  for (const NameRef suffix : suffixes) {
+    const std::span<const LabelId> suffix_ids = ids(suffix);
+    std::span<const LabelId> combined;
+    if (suffix_ids.size() + 1 <= 64) {
+      if (!suffix_ids.empty()) std::memcpy(stack + 1, suffix_ids.data(), suffix_ids.size_bytes());
+      combined = std::span<const LabelId>(stack, suffix_ids.size() + 1);
+    } else {
+      heap.clear();
+      heap.reserve(suffix_ids.size() + 1);
+      heap.push_back(label);
+      heap.insert(heap.end(), suffix_ids.begin(), suffix_ids.end());
+      combined = heap;
+    }
+    const Interned comp = intern_hashed(hash_ids(combined), combined);
+    out.push_back(comp.ref);
+    if (comp.fresh) {
+      ++fresh;
+    } else {
+      ++hits;
     }
   }
   PoolMetrics& metrics = pool_metrics();

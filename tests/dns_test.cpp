@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "ctwatch/dns/name.hpp"
 #include "ctwatch/dns/psl.hpp"
 #include "ctwatch/dns/resolver.hpp"
 #include "ctwatch/dns/zone.hpp"
+#include "ctwatch/util/rng.hpp"
+#include "dns_oracle.hpp"
 
 namespace ctwatch::dns {
 namespace {
@@ -191,6 +198,33 @@ TEST_F(PslTest, PooledSplitSurvivesPoolReincarnation) {
     EXPECT_EQ(pool->to_string(split->registrable_domain), "example.co.uk");
     EXPECT_EQ(split->subdomain_label_count, 1u);
   }
+}
+
+// Splits read the compiled-rule snapshot without locking. Two pools split
+// at once from four threads, so the published snapshot flips between the
+// pools while readers hold the other one; every split must still be right.
+TEST(PslConcurrencyTest, SplitsOnTwoPoolsShareTheCompiledCache) {
+  const PublicSuffixList psl = PublicSuffixList::bundled();
+  namepool::NamePool pools[2];
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      namepool::NamePool& pool = pools[t % 2];
+      for (int i = 0; i < 2000; ++i) {
+        const std::string name = "h" + std::to_string(i) + ".example" + std::to_string(t) +
+                                 (i % 2 == 0 ? ".co.uk" : ".com");
+        const auto ref = DnsName::parse_into(pool, name);
+        const auto split = ref ? psl.split(pool, *ref) : std::nullopt;
+        if (!split || pool.to_string(split->public_suffix) != (i % 2 == 0 ? "co.uk" : "com") ||
+            split->subdomain_label_count != 1) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 TEST(PslRuleTest, AddRuleRejectsMalformed) {
@@ -399,6 +433,165 @@ TEST(AuthoritativeServerTest, LongestOriginWins) {
   const Zone* found = server.find_zone(DnsName::parse_or_throw("www.sub.example.org"));
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->origin().to_string(), "sub.example.org");
+}
+
+// ---------- differential: suffix-view lookups vs the string-keyed oracle ----------
+
+constexpr std::array<RrType, 7> kAllTypes = {RrType::A,  RrType::AAAA, RrType::CNAME, RrType::MX,
+                                             RrType::NS, RrType::SOA,  RrType::TXT};
+
+/// Seeded random DNS: zones with multi-label and nested origins spread
+/// over two servers (one origin on both), exact records of every type,
+/// "*" wildcards at several depths, default-A catch-alls and CNAMEs
+/// between random names (so chains, loops and dangling targets occur).
+/// Every record goes into the real structures and the oracle alike.
+class DnsDifferential {
+ public:
+  explicit DnsDifferential(std::uint64_t seed) : rng_(seed) {
+    universe_.add_server(servers_[0]);
+    universe_.add_server(servers_[1]);
+    oracle_universe_.add_server(oracle_servers_[0]);
+    oracle_universe_.add_server(oracle_servers_[1]);
+    const std::vector<std::string> origins = {"example.com",   "a.example.com", "gov.uk",
+                                              "service.gov.uk", "co.jp",        "shop.co.jp",
+                                              "example.org"};
+    for (std::size_t z = 0; z < origins.size(); ++z) {
+      const DnsName origin = DnsName::parse_or_throw(origins[z]);
+      // example.org lives on both servers: the later server must win.
+      const std::vector<std::size_t> on = z + 1 == origins.size()
+                                              ? std::vector<std::size_t>{0, 1}
+                                              : std::vector<std::size_t>{rng_.below(2)};
+      for (const std::size_t s : on) {
+        Zone& zone = servers_[s].add_zone(origin);
+        oracle::OracleZone& oracle_zone = oracle_servers_[s].add_zone(origin);
+        if (rng_.chance(0.3)) {
+          const net::IPv4 catch_all(10, 9, static_cast<std::uint8_t>(z), 1);
+          zone.set_default_a(catch_all);
+          oracle_zone.set_default_a(catch_all);
+        }
+        for (int r = 0; r < 14; ++r) {
+          DnsName owner = below(origin, rng_.below(3));
+          if (rng_.chance(0.3)) owner = owner.with_prefix_label("*");
+          const ResourceRecord record = random_record(owner);
+          zone.add(record);
+          oracle_zone.add(record);
+        }
+      }
+    }
+  }
+
+  /// A random query name: below an origin, above one (down to its TLD),
+  /// or outside every zone; sometimes led by a literal "*".
+  DnsName random_name() {
+    static const std::vector<std::string> bases = {
+        "example.com", "a.example.com", "gov.uk",      "service.gov.uk", "co.jp",
+        "shop.co.jp",  "example.org",   "example.net", "other.org"};
+    DnsName base = DnsName::parse_or_throw(bases[rng_.below(bases.size())]);
+    if (rng_.chance(0.15)) base = base.parent(rng_.below(base.label_count()));
+    DnsName name = below(base, rng_.below(4));
+    if (rng_.chance(0.1)) name = name.with_prefix_label("*");
+    return name;
+  }
+
+  Rng& rng() { return rng_; }
+  const DnsUniverse& universe() const { return universe_; }
+  const oracle::OracleUniverse& oracle_universe() const { return oracle_universe_; }
+  const AuthoritativeServer& server(std::size_t s) const { return servers_[s]; }
+  const oracle::OracleServer& oracle_server(std::size_t s) const { return oracle_servers_[s]; }
+
+ private:
+  DnsName below(DnsName name, std::uint64_t depth) {
+    static const std::vector<std::string> labels = {"a", "b", "www", "mail", "x-1"};
+    for (std::uint64_t i = 0; i < depth; ++i) {
+      name = name.with_prefix_label(labels[rng_.below(labels.size())]);
+    }
+    return name;
+  }
+
+  ResourceRecord random_record(const DnsName& owner) {
+    const RrType type = kAllTypes[rng_.below(kAllTypes.size())];
+    const auto octet = [&] { return static_cast<std::uint8_t>(rng_.below(256)); };
+    RData data;
+    switch (type) {
+      case RrType::A: data = net::IPv4(10, 0, octet(), octet()); break;
+      case RrType::AAAA:
+        data = net::IPv6::from_hextets({0x2001, 0xdb8, 0, 0, 0, 0, 0, octet()});
+        break;
+      case RrType::CNAME:
+      case RrType::MX:
+      case RrType::NS: data = random_name(); break;
+      case RrType::SOA:
+      case RrType::TXT: data = "text-" + std::to_string(octet()); break;
+    }
+    return ResourceRecord{owner, type, static_cast<std::uint32_t>(60 + rng_.below(600)), data};
+  }
+
+  Rng rng_;
+  AuthoritativeServer servers_[2];
+  oracle::OracleServer oracle_servers_[2];
+  DnsUniverse universe_;
+  oracle::OracleUniverse oracle_universe_;
+};
+
+void expect_same_records(const std::vector<ResourceRecord>& got,
+                         const std::vector<ResourceRecord>& want, const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].name, want[i].name) << context;
+    EXPECT_EQ(got[i].type, want[i].type) << context;
+    EXPECT_EQ(got[i].ttl, want[i].ttl) << context;
+    EXPECT_TRUE(got[i].data == want[i].data) << context;
+  }
+}
+
+TEST(DnsDifferentialTest, ZoneLookupAndFindZoneMatchTheStringKeyedOracle) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    DnsDifferential dns(seed);
+    for (int q = 0; q < 300; ++q) {
+      const DnsName name = dns.random_name();
+      for (std::size_t s = 0; s < 2; ++s) {
+        const Zone* zone = dns.server(s).find_zone(name);
+        const oracle::OracleZone* want = dns.oracle_server(s).find_zone(name);
+        const std::string context = "seed " + std::to_string(seed) + " " + name.to_string();
+        ASSERT_EQ(zone == nullptr, want == nullptr) << context;
+        if (zone == nullptr) continue;
+        ASSERT_EQ(zone->origin(), want->origin()) << context;
+        for (const RrType type : kAllTypes) {
+          expect_same_records(zone->lookup(name, type), want->lookup(name, type),
+                              context + " " + to_string(type));
+        }
+      }
+    }
+  }
+}
+
+TEST(DnsDifferentialTest, ResolveMatchesTheStringKeyedOracle) {
+  std::size_t by_status[6] = {};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    DnsDifferential dns(seed);
+    const RecursiveResolver resolver(dns.universe(),
+                                     RecursiveResolver::Identity{net::IPv4(192, 0, 2, 1), 64500,
+                                                                 "differential", false});
+    for (int q = 0; q < 300; ++q) {
+      const DnsName name = dns.random_name();
+      const int hops = static_cast<int>(dns.rng().below(4));
+      for (const RrType type : kAllTypes) {
+        const ResolveResult got = resolver.resolve(name, type, SimTime{}, std::nullopt, hops);
+        const ResolveResult want = oracle::oracle_resolve(dns.oracle_universe(), name, type, hops);
+        const std::string context = "seed " + std::to_string(seed) + " " + name.to_string() +
+                                    " " + to_string(type);
+        ASSERT_EQ(got.status, want.status) << context;
+        EXPECT_EQ(got.cname_hops, want.cname_hops) << context;
+        expect_same_records(got.answers, want.answers, context);
+        ++by_status[static_cast<std::size_t>(got.status)];
+      }
+    }
+  }
+  // The random DNS reaches every non-chaos outcome, each many times.
+  for (const ResolveStatus status : {ResolveStatus::ok, ResolveStatus::nxdomain,
+                                     ResolveStatus::no_data, ResolveStatus::chain_too_long}) {
+    EXPECT_GT(by_status[static_cast<std::size_t>(status)], 100u);
+  }
 }
 
 }  // namespace

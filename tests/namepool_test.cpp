@@ -3,6 +3,7 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "ctwatch/dns/name.hpp"
@@ -326,6 +327,111 @@ TEST(NamePoolConcurrencyTest, ReadMostlyLookupWhileInterning) {
   for (std::thread& reader : readers) reader.join();
   EXPECT_EQ(pool.size(), static_cast<std::uint64_t>(kNames));
   EXPECT_GT(checks.load(), 0u);
+}
+
+// Four threads intern the same label and name sets in different orders,
+// so every name is a miss on one thread and a hit on three, and hits race
+// misses on every stripe while both indexes grow several times over (each
+// stripe starts at 64 slots; ~190 labels and 750 names land per stripe).
+// Afterwards every name must have one canonical ref, lookups and text
+// must agree with it, and the sizes, gauges and counters must be exact.
+TEST(NamePoolConcurrencyTest, ConcurrentInternIsCanonicalAcrossGrowth) {
+  constexpr std::size_t kNames = 12000;
+  constexpr std::size_t kHosts = 3000;
+  constexpr std::size_t kThreads = 4;
+  // Name i: h<i % 3000>.d<i / 3000>[.tld<i % 7>] — the (h, d) pair is
+  // unique per i, every fifth name has no tld label.
+  const auto name_labels = [](std::size_t i) {
+    std::vector<std::string> labels = {"h" + std::to_string(i % kHosts),
+                                       "d" + std::to_string(i / kHosts)};
+    if (i % 5 != 0) labels.push_back("tld" + std::to_string(i % 7));
+    return labels;
+  };
+  const std::size_t distinct_labels = kHosts + kNames / kHosts + 7;
+  std::size_t label_calls = 0;
+  for (std::size_t i = 0; i < kNames; ++i) label_calls += kThreads * name_labels(i).size();
+
+  auto& registry = obs::Registry::global();
+  const std::int64_t names_gauge = registry.gauge("namepool.names").value();
+  const std::int64_t labels_gauge = registry.gauge("namepool.labels").value();
+  const std::int64_t bytes_gauge = registry.gauge("namepool.bytes").value();
+  const std::uint64_t label_hits = registry.counter("namepool.label_intern.hits").value();
+  const std::uint64_t name_hits = registry.counter("namepool.name_intern.hits").value();
+  const std::uint64_t name_misses = registry.counter("namepool.name_intern.misses").value();
+  {
+    NamePool pool;
+    std::vector<std::vector<NameRef>> refs(kThreads, std::vector<NameRef>(kNames));
+    std::atomic<std::size_t> lookup_mismatches{0};
+    std::vector<std::thread> threads;
+    constexpr std::size_t kStrides[kThreads] = {1, 7, 11, 13};  // coprime with kNames
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t k = 0; k < kNames; ++k) {
+          const std::size_t i = (k * kStrides[t] + t * 997) % kNames;
+          const std::vector<std::string> labels = name_labels(i);
+          std::vector<LabelId> ids;
+          for (const std::string& label : labels) ids.push_back(pool.labels().intern(label));
+          // Half the threads go through the text entry point, which
+          // interns the same labels again on its own.
+          NameRef ref;
+          if (t % 2 == 0) {
+            ref = pool.intern_ids(ids).ref;
+          } else {
+            std::string dotted = labels[0];
+            for (std::size_t j = 1; j < labels.size(); ++j) dotted += "." + labels[j];
+            ref = pool.intern_text(dotted).ref;
+          }
+          refs[t][i] = ref;
+          if (pool.find_ids(ids) != ref || pool.labels().find(labels[0]) != ids[0]) {
+            lookup_mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    // intern_text threads interned every label twice.
+    label_calls += (kThreads / 2) * (label_calls / kThreads);
+
+    EXPECT_EQ(lookup_mismatches.load(), 0u);
+    std::unordered_set<NameRef, NameRefHash> distinct;
+    for (std::size_t i = 0; i < kNames; ++i) {
+      for (std::size_t t = 1; t < kThreads; ++t) ASSERT_EQ(refs[t][i], refs[0][i]) << i;
+      distinct.insert(refs[0][i]);
+      const std::vector<std::string> labels = name_labels(i);
+      std::string dotted = labels[0];
+      for (std::size_t j = 1; j < labels.size(); ++j) dotted += "." + labels[j];
+      ASSERT_EQ(pool.to_string(refs[0][i]), dotted);
+      std::vector<LabelId> ids;
+      for (const std::string& label : labels) {
+        const auto id = pool.labels().find(label);
+        ASSERT_TRUE(id);
+        ASSERT_EQ(pool.labels().text(*id), label);
+        ids.push_back(*id);
+      }
+      ASSERT_EQ(pool.find_ids(ids), refs[0][i]);
+    }
+    EXPECT_EQ(distinct.size(), kNames);
+    EXPECT_EQ(pool.size(), kNames);
+    EXPECT_EQ(pool.labels().size(), distinct_labels);
+    for (LabelId id = 0; id < pool.labels().size(); ++id) {
+      EXPECT_EQ(pool.labels().find(pool.labels().text(id)), id);
+    }
+
+    EXPECT_EQ(registry.gauge("namepool.names").value(),
+              names_gauge + static_cast<std::int64_t>(kNames));
+    EXPECT_EQ(registry.gauge("namepool.labels").value(),
+              labels_gauge + static_cast<std::int64_t>(distinct_labels));
+    EXPECT_EQ(registry.gauge("namepool.bytes").value(),
+              bytes_gauge + static_cast<std::int64_t>(pool.bytes_used()));
+    EXPECT_EQ(registry.counter("namepool.name_intern.misses").value(), name_misses + kNames);
+    EXPECT_EQ(registry.counter("namepool.name_intern.hits").value(),
+              name_hits + (kThreads - 1) * kNames);
+    EXPECT_EQ(registry.counter("namepool.label_intern.hits").value(),
+              label_hits + label_calls - distinct_labels);
+  }
+  EXPECT_EQ(registry.gauge("namepool.names").value(), names_gauge);
+  EXPECT_EQ(registry.gauge("namepool.labels").value(), labels_gauge);
+  EXPECT_EQ(registry.gauge("namepool.bytes").value(), bytes_gauge);
 }
 
 }  // namespace
