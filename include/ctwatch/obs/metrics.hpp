@@ -3,12 +3,14 @@
 // Monotonic counters, gauges, and log-linear latency histograms with
 // quantile readout, held in a process-global registry. Handles are
 // pre-registered once (name lookup under a mutex) and then shared; after
-// that a hot-path event costs one relaxed atomic RMW. The registry renders
-// as a human table, as JSON — the machine-readable source of truth the
-// bench binaries snapshot next to their artifact output — and as
-// Prometheus text.
+// that a hot-path event costs one relaxed atomic RMW (a counter's lands
+// in the calling thread's own cell). The registry renders as a human
+// table, as JSON — the machine-readable source of truth the bench
+// binaries snapshot next to their artifact output — and as Prometheus
+// text.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -33,16 +35,41 @@ namespace ctwatch::obs {
 /// one escaper behind the metrics JSON, chrome traces and httpd.
 [[nodiscard]] std::string json_escape(std::string_view raw);
 
+namespace detail {
+/// This thread's Counter cell, assigned round-robin on first use.
+inline constexpr std::size_t kNoCounterCell = ~std::size_t{0};
+inline thread_local std::size_t counter_cell = kNoCounterCell;
+std::size_t assign_counter_cell();
+}  // namespace detail
+
 /// Monotonically increasing event count. Thread-safe; increments are
 /// relaxed — totals are exact, ordering against other metrics is not.
+/// Each thread adds into one of kCells cache-line cells (threads take
+/// cells round-robin), so threads counting the same event on every name
+/// or query do not fight over one line; value() sums the cells.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
+  static constexpr std::size_t kCells = 8;
+
+  void inc(std::uint64_t n = 1) {
+    std::size_t cell = detail::counter_cell;
+    if (cell == detail::kNoCounterCell) cell = detail::counter_cell = detail::assign_counter_cell();
+    cells_[cell].value.fetch_add(n, std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t value() const {
+    std::uint64_t total = 0;
+    for (const Cell& cell : cells_) total += cell.value.load(std::memory_order_relaxed);
+    return total;
+  }
+  void reset() {
+    for (Cell& cell : cells_) cell.value.store(0, std::memory_order_relaxed);
+  }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  struct alignas(64) Cell {
+    std::atomic<std::uint64_t> value{0};
+  };
+  std::array<Cell, kCells> cells_;
 };
 
 /// A value that goes up and down (current simulated day, queue depth, ...).

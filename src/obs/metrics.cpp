@@ -73,6 +73,11 @@ Registry& Registry::global() {
   return *registry;
 }
 
+std::size_t detail::assign_counter_cell() {
+  static std::atomic<std::size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) % Counter::kCells;
+}
+
 Counter& Registry::counter(const std::string& name) {
   assert(is_valid_metric_name(name));
   std::lock_guard lock(mu_);
