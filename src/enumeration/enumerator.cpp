@@ -281,7 +281,7 @@ FunnelResult SubdomainEnumerator::run(const std::vector<std::string>& domain_lis
       return probe_name(*name);
     };
 
-    std::vector<namepool::NameRef> admitted;  // compose_group scratch
+    std::vector<namepool::NameRef> admitted;  // reused by compose_group
     std::vector<namepool::NameRef> composed;
     for (std::size_t i = range.begin; i < range.end; ++i) {
       const PlanEntry& entry = plan[i];
