@@ -8,9 +8,11 @@
 // the prefix lands in tiles.seg/entries.seg. Phase 2 closes the store
 // and reopens it with structural verification: recovery must come back
 // with only the last partial tile resident (<= 255 leaves), never the
-// full tree. Phase 3 adopts the store into a paged-reads LogService,
-// submits --live entries through the real sequencer so queries straddle
-// the paged/resident boundary, then drives --queries random inclusion +
+// full tree. Phase 3 adopts the store into a LogService, which pages
+// the checkpointed prefix, submits --live entries through the real
+// sequencer so queries straddle the paged/resident boundary (the first
+// submission builds the whole-log dedup index), then drives --queries
+// random inclusion +
 // consistency proofs and get-entries windows through the tile cache,
 // verifying EVERY proof cryptographically against the served STH.
 //
@@ -249,14 +251,13 @@ int main(int argc, char** argv) {
                  resident_after_reopen, wal_tail_entries, store.tree_size());
   }
 
-  // ---- Phase 3: paged service, live tail, query traffic. ---------------
+  // ---- Phase 3: the service, live tail, query traffic. -----------------
   logsvc::Config config;
   config.name = kLogName;
   config.scheme = crypto::SignatureScheme::hmac_sha256_simulated;
   config.merge_delay = std::chrono::microseconds(200);
   config.store_bodies = false;
   config.storage = &store;
-  config.paged_reads = true;
   logsvc::LogService service(config);
   const std::uint64_t resident_base = service.resident_base();
 

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -37,6 +38,12 @@ class DigestIndex {
       if (slot == 0) return std::nullopt;
       if (key_of(slot - 1) == key) return slot - 1;
     }
+  }
+
+  /// Sizes an empty table for `count` keys, so inserting them never
+  /// regrows it (each regrowth reads every key back).
+  void reserve(std::size_t count) {
+    if (slots_.empty()) slots_.assign(std::bit_ceil(std::max<std::size_t>(16, 2 * (count + 1))), 0);
   }
 
   /// Records `position` for `key` unless the key is already present:

@@ -37,7 +37,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "ctwatch/chaos/fault.hpp"
@@ -93,31 +92,22 @@ struct Config {
   /// service memory-only, exactly as before). When set, the store's
   /// ct::TileCascade is the log's one Merkle state, which the service
   /// stages on and proves through. The constructor ADOPTS the store's
-  /// recovered state — leaf hashes and records, none folded again — and
-  /// republishes the recovered STH verbatim (the store must have been
-  /// opened with the same log name: the recovered STH's signature is
-  /// verified against this service's key, and a mismatch throws). Each
-  /// sealed batch is then committed (WAL + fsync) BEFORE its snapshot is
-  /// published or its SCTs are released, so get-sth never serves a root
-  /// the disk cannot prove. The first storage failure poisons the write
-  /// path fail-stop: later batches complete with
-  /// ct::SubmitStatus::storage_error while reads keep serving the last
-  /// durable snapshot.
+  /// recovered state and republishes the recovered STH verbatim (the
+  /// store must have been opened with the same log name: the recovered
+  /// STH's signature is verified against this service's key, and a
+  /// mismatch throws). Adoption keeps only the recovered WAL tail
+  /// resident: leaf hashes and entries below the recovered checkpoint
+  /// page in from the store's tile cache and entry segment, so reopening
+  /// a huge log costs O(WAL tail) memory (plus the upper tile levels,
+  /// 1/255 of the leaf hashes). Dedup and get-proof-by-hash still cover
+  /// the whole log: each builds an index over the checkpointed prefix on
+  /// first use (see PrefixIndex). Each sealed batch is committed (WAL +
+  /// fsync) BEFORE its snapshot is published or its SCTs are released,
+  /// so get-sth never serves a root the disk cannot prove. The first
+  /// storage failure poisons the write path fail-stop: later batches
+  /// complete with ct::SubmitStatus::storage_error while reads keep
+  /// serving the last durable snapshot.
   storage::LogStore* storage = nullptr;
-  /// Storage-backed reads (requires `storage`). When set, adoption keeps
-  /// only the recovered WAL tail resident: leaf hashes and entries below
-  /// the recovered checkpoint come from the store's tile cache and entry
-  /// segment, so reopening a huge log costs O(WAL tail) memory (plus the
-  /// upper tile levels, 1/255 of the leaf hashes) instead of O(tree).
-  /// Proofs do not differ by mode: both run the same O(log n) tiled path,
-  /// which here reads the level-0 tiles below the checkpoint through the
-  /// cache. Tradeoffs, which is why the memory-resident adoption stays
-  /// the default: the dedup table covers only the resident tail (a
-  /// resubmission of a checkpointed certificate grows the tree instead of
-  /// re-issuing its SCT), and the first get-proof-by-hash for a
-  /// checkpointed leaf pays a one-time streaming rebuild of the
-  /// hash -> index map.
-  bool paged_reads = false;
 };
 
 /// logsvc's former names for ct's vocabulary, kept only because ctbench/
@@ -207,12 +197,12 @@ class LogService {
   /// Config::max_get_entries, and start+count overflow is harmless.
   [[nodiscard]] std::vector<ct::LogEntry> get_entries(std::uint64_t start,
                                                       std::uint64_t count) const;
-  /// Published tree size (== get_sth().tree_size). With paged reads the
-  /// resident stores hold only [leaf_base_, tree_size).
+  /// Published tree size (== get_sth().tree_size). A storage-backed
+  /// service's resident stores hold only [leaf_base_, tree_size).
   [[nodiscard]] std::uint64_t tree_size() const { return leaf_base_ + leaves_.size(); }
-  /// First leaf index the resident stores hold; everything below is
-  /// served from storage. Zero unless Config::paged_reads adopted a
-  /// checkpointed store.
+  /// First entry the resident stores hold; everything below is served
+  /// from storage. The adopted store's checkpointed size, or zero for a
+  /// memory-only service.
   [[nodiscard]] std::uint64_t resident_base() const { return resident_base_; }
 
   // --- streaming ---
@@ -274,12 +264,15 @@ class LogService {
     CompletionFn done;
   };
 
-  struct DigestHash {
-    std::size_t operator()(const crypto::Digest& d) const {
-      std::size_t out = 0;
-      for (std::size_t i = 0; i < sizeof(out); ++i) out = (out << 8) | d[i];
-      return out;
-    }
+  /// An index over the checkpointed prefix [0, resident_base_): the
+  /// prefix's keys (leaf hashes or fingerprints), read from storage into
+  /// a resident vector by the first lookup that needs them, and a
+  /// ct::DigestIndex over that vector, where position == leaf index.
+  /// Immutable once built, so lookups after the build take no lock.
+  struct PrefixIndex {
+    std::once_flag built;
+    std::vector<crypto::Digest> keys;
+    ct::DigestIndex index;
   };
 
   ct::SubmitStatus submit_validated(const x509::Certificate& cert, BytesView issuer_public_key,
@@ -289,6 +282,14 @@ class LogService {
   /// Re-integrates a durable store's recovered state before the
   /// sequencer starts (constructor only; throws on key mismatch).
   void adopt_storage();
+  /// First index of `key` in `prefix`, building the prefix index first
+  /// (once) by calling `load(keys)`. Throws if the prefix cannot be read.
+  template <typename Load>
+  std::optional<std::uint64_t> find_in_prefix(PrefixIndex& prefix, const crypto::Digest& key,
+                                              const Load& load) const;
+  /// The checkpointed record first submitted with `fingerprint`, if any
+  /// (sequencer only; throws if the prefix cannot be read).
+  std::optional<ct::LogEntry> prefix_record(const crypto::Digest& fingerprint);
   /// Publishes an already-signed STH — the exact object that was
   /// committed to storage (or recovered from it), never a re-signing.
   void publish_snapshot(ct::SignedTreeHead sth);
@@ -328,6 +329,9 @@ class LogService {
   // Sequencer-private state (no locking: single thread).
   /// fingerprint -> position in entries_ (index - resident_base_).
   ct::DigestIndex dedup_;
+  /// fingerprint -> index below resident_base_. Built by the first
+  /// submission after adoption, so a read-only monitor never builds it.
+  PrefixIndex prefix_fingerprints_;
   std::uint64_t last_timestamp_ms_ = 0;
   std::uint64_t seal_seq_ = 0;
 
@@ -340,20 +344,17 @@ class LogService {
   // [resident_base_, tree_size).
   mutable std::mutex leaf_index_mu_;
   ct::DigestIndex leaf_index_;
+  /// leaf hash -> index below resident_base_, built by the first
+  /// get-proof-by-hash (one streaming pass over the level-0 tile pages).
+  mutable PrefixIndex prefix_leaves_;
 
-  /// Paged mode: where the resident entry records begin, and where the
-  /// resident leaf hashes begin (resident_base_ floored to a tile, so
-  /// every level-0 tile is either wholly resident or wholly paged). Set
-  /// once during construction (before the sequencer or any reader
-  /// exists), then immutable.
+  /// Where the resident entry records begin (the adopted store's
+  /// checkpointed size), and where the resident leaf hashes begin
+  /// (resident_base_ floored to a tile, so every level-0 tile is either
+  /// wholly resident or wholly paged). Set once during construction
+  /// (before the sequencer or any reader exists), then immutable.
   std::uint64_t resident_base_ = 0;
   std::uint64_t leaf_base_ = 0;
-  /// hash -> index for the checkpointed prefix [0, resident_base_),
-  /// rebuilt lazily (one streaming pass over the tile pages) on the
-  /// first get-proof-by-hash miss against the resident map.
-  mutable std::mutex paged_index_mu_;
-  mutable bool paged_index_built_ = false;
-  mutable std::unordered_map<crypto::Digest, std::uint64_t, DigestHash> paged_index_;
 
   StreamFanout fanout_;
   std::thread sequencer_;

@@ -13,7 +13,9 @@
 //   * SegmentReader keeps one (entry index -> byte offset) mark per
 //     `index_stride` frames (64 by default: ~16 B per 64 entries, a few
 //     MiB per 10⁹). read(start, count) seeks to the floor mark and
-//     decodes forward, skipping at most stride-1 frames.
+//     decodes forward, skipping at most stride-1 frames. Its buffer spans
+//     only the bytes up to the first mark at or past start + count, so a
+//     32-entry read preads a few KiB, not the cursor's full buffer.
 //
 // The index grows append-only: recovery seeds it for the checkpointed
 // prefix, the writer extends it at each checkpoint after fsync. Readers
@@ -22,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -48,8 +51,10 @@ class FrameCursor {
   /// boundary for Status::end — a trailing partial frame is `corrupt`
   /// (callers scanning durable, checkpoint-covered bytes treat that as
   /// hard corruption; WAL-tail semantics stay in wal_scan).
+  static constexpr std::size_t kMaxBufferBytes = std::size_t{1} << 20;
+
   FrameCursor(const RandomReadFile& file, std::uint64_t begin, std::uint64_t end,
-              std::size_t buffer_bytes = std::size_t{1} << 20);
+              std::size_t buffer_bytes = kMaxBufferBytes);
 
   /// Advances to the next frame. On `ok`, `type` and `payload` describe
   /// it; `payload` is valid until the next call.
@@ -93,6 +98,12 @@ class SegmentReader {
   /// Ranges beyond coverage() are the caller's bug -> corrupt.
   IoError read(std::uint64_t start, std::uint64_t count,
                std::vector<DurableEntry>& out) const;
+
+  /// Decodes entries [start, start+count) in index order, handing each
+  /// to `fn` instead of collecting them: a whole-prefix pass in
+  /// O(buffer) memory. Same errors as read().
+  IoError scan(std::uint64_t start, std::uint64_t count,
+               const std::function<void(DurableEntry&)>& fn) const;
 
  private:
   struct Mark {

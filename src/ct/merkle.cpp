@@ -1,6 +1,7 @@
 #include "ctwatch/ct/merkle.hpp"
 
 #include <bit>
+#include <cstring>
 #include <stdexcept>
 
 #include "ctwatch/ct/tiled.hpp"
@@ -18,11 +19,16 @@ Digest leaf_hash(BytesView data) {
 }
 
 Digest node_hash(const Digest& left, const Digest& right) {
-  crypto::Sha256 h;
-  h.update(std::uint8_t{0x01})
-      .update(BytesView{left.data(), left.size()})
-      .update(BytesView{right.data(), right.size()});
-  return h.finish();
+  // 0x01 || left || right is always 65 bytes, so its FIPS 180-4 padding
+  // is a constant: 0x80, zeros, and the bit length 520 (0x0208) in the
+  // last two bytes of the second block.
+  std::uint8_t blocks[128] = {0x01};
+  std::memcpy(blocks + 1, left.data(), left.size());
+  std::memcpy(blocks + 33, right.data(), right.size());
+  blocks[65] = 0x80;
+  blocks[126] = 0x02;
+  blocks[127] = 0x08;
+  return crypto::Sha256::hash_padded(blocks, 2);
 }
 
 Digest empty_tree_root() { return crypto::Sha256::hash(BytesView{}); }

@@ -49,6 +49,10 @@ struct SvcMetrics {
       obs::Registry::global().latency("logsvc.consistency_proof_us");
   obs::LogLinearHistogram& proof_page_fetches =
       obs::Registry::global().latency("storage.proof_page_fetches");
+  // One sample per prefix index built (leaf hashes or fingerprints): the
+  // one-time cost of whole-log dedup and by-hash over paged storage.
+  obs::LogLinearHistogram& prefix_index_build_us =
+      obs::Registry::global().latency("logsvc.prefix_index_build_us");
 };
 
 SvcMetrics& svc_metrics() {
@@ -60,7 +64,7 @@ std::uint64_t to_millis(SimTime now) {
   return static_cast<std::uint64_t>(now.unix_seconds()) * 1000;
 }
 
-/// What get-entries (and adoption) serve for a durable record.
+/// What get-entries (and adoption and dedup) serve for a durable record.
 ct::LogEntry to_record(storage::DurableEntry durable, bool keep_body) {
   ct::LogEntry record;
   record.index = durable.index;
@@ -70,10 +74,6 @@ ct::LogEntry to_record(storage::DurableEntry durable, bool keep_body) {
   if (durable.has_body && keep_body) record.signed_entry = std::move(durable.entry);
   return record;
 }
-
-/// Adoption window: how many durable entries are decoded at once when
-/// re-streaming the checkpointed prefix into memory (legacy mode).
-constexpr std::uint64_t kAdoptWindow = 4096;
 
 }  // namespace
 
@@ -133,23 +133,18 @@ void LogService::adopt_storage() {
   if (paged + tail.size() != sth.tree_size) {
     throw std::runtime_error("logsvc: recovered entries do not match the recovered STH");
   }
-  // Paged mode adopts only the WAL tail (plus the leaf hashes of the
-  // checkpoint's partial last tile, which the store keeps resident);
+  // Only the WAL tail is adopted, plus the leaf hashes of the
+  // checkpoint's partial last tile, which the store keeps resident;
   // everything checkpointed stays on disk and the read path pages it in.
-  // Legacy mode re-streams the whole tree into memory, windowed so
-  // adoption itself is O(window) not O(n).
-  if (config_.paged_reads) {
-    resident_base_ = paged;
-    leaf_base_ = paged / ct::kTileWidth * ct::kTileWidth;
-  }
-  const std::uint64_t resident = sth.tree_size - resident_base_;
-  if (sth.tree_size - leaf_base_ > leaves_.capacity() || resident > entries_.capacity()) {
+  resident_base_ = paged;
+  leaf_base_ = paged / ct::kTileWidth * ct::kTileWidth;
+  if (sth.tree_size - leaf_base_ > leaves_.capacity() || tail.size() > entries_.capacity()) {
     throw std::runtime_error("logsvc: recovered tree exceeds the in-memory store capacity");
   }
   for (std::uint64_t i = leaf_base_; i < resident_base_; ++i) {
     (void)leaves_.append(store.tail_leaf(i));
   }
-  const auto adopt_one = [this](storage::DurableEntry& durable) {
+  for (storage::DurableEntry& durable : tail) {
     const crypto::Digest leaf = durable.leaf_hash;
     const crypto::Digest fingerprint = durable.fingerprint;
     const std::uint64_t index = durable.index;
@@ -159,20 +154,7 @@ void LogService::adopt_storage() {
     }
     leaf_index_.insert(leaf, index - leaf_base_, leaf_at());
     if (config_.dedup) dedup_.insert(fingerprint, index - resident_base_, fingerprint_at());
-  };
-  if (resident_base_ == 0) {
-    std::vector<storage::DurableEntry> window;
-    for (std::uint64_t start = 0; start < paged;) {
-      const std::uint64_t n = std::min(kAdoptWindow, paged - start);
-      window.clear();
-      if (store.read_entries(start, n, window) != storage::IoError::none) {
-        throw std::runtime_error("logsvc: failed to read checkpointed entries during adoption");
-      }
-      for (storage::DurableEntry& durable : window) adopt_one(durable);
-      start += n;
-    }
   }
-  for (storage::DurableEntry& durable : tail) adopt_one(durable);
   // The store's cascade, which recovery built, already holds the upper
   // levels and the accumulator: nothing is copied or folded again.
   leaves_.publish();
@@ -180,7 +162,7 @@ void LogService::adopt_storage() {
   last_timestamp_ms_ = store.last_timestamp_ms();
   seal_seq_ = store.seal_seq();
   publish_snapshot(sth);  // the recovered head, verbatim — never re-signed
-  svc_metrics().adopted_entries.inc(resident);
+  svc_metrics().adopted_entries.inc(tail.size());
   obs::log_info("logsvc", "adopted recovered storage",
                 {{"log", config_.name},
                  {"tree_size", sth.tree_size},
@@ -309,10 +291,10 @@ std::shared_ptr<const TreeSnapshot> LogService::snapshot() const {
   return snapshot_;
 }
 
-/// Every proof, in both read modes, runs over one ct::LogTileSource.
-/// Level 0 at or above leaf_base_ points straight into leaves_: leaf_base_
-/// is tile-aligned and a tile-aligned run never straddles a 2^14-entry
-/// chunk. Below leaf_base_ (paged mode only) the store's tile cache
+/// Every proof runs over one ct::LogTileSource. Level 0 at or above
+/// leaf_base_ points straight into leaves_: leaf_base_ is tile-aligned and
+/// a tile-aligned run never straddles a 2^14-entry chunk. Below
+/// leaf_base_ (storage-backed services only) the store's tile cache
 /// serves level 0, pinned for the proof's lifetime; a page that fails to
 /// load there is corruption, and the source throws. Levels >= 1 come from
 /// the log's cascade. The published size is snapshotted once; every
@@ -368,37 +350,66 @@ crypto::Digest LogService::leaf_hash_at(std::uint64_t index) const {
   return page->leaves[static_cast<std::size_t>(index & 255)];
 }
 
-std::optional<std::uint64_t> LogService::leaf_index_of(const crypto::Digest& leaf_hash) const {
-  {
-    std::lock_guard<std::mutex> lock(leaf_index_mu_);
-    if (const auto position = leaf_index_.find(leaf_hash, leaf_at())) {
-      return leaf_base_ + *position;
-    }
-  }
+template <typename Load>
+std::optional<std::uint64_t> LogService::find_in_prefix(PrefixIndex& prefix,
+                                                        const crypto::Digest& key,
+                                                        const Load& load) const {
   if (resident_base_ == 0) return std::nullopt;
-  // Paged mode: the resident map only covers [resident_base_, size). The
-  // checkpointed prefix's map is rebuilt lazily — one streaming pass over
-  // the level-0 tile pages, paid by the first miss, never by startup.
-  // (A hash duplicated across the boundary resolves to its resident
-  // occurrence; any provable index satisfies get-proof-by-hash.)
-  std::lock_guard<std::mutex> lock(paged_index_mu_);
-  if (!paged_index_built_) {
+  const auto key_at = [&prefix](std::uint64_t position) -> const crypto::Digest& {
+    return prefix.keys[static_cast<std::size_t>(position)];
+  };
+  std::call_once(prefix.built, [&] {
+    obs::ScopedTimer timer(svc_metrics().prefix_index_build_us);
+    prefix.keys.clear();  // a failed earlier build may have left a part
+    prefix.keys.reserve(resident_base_);
+    load(prefix.keys);
+    if (prefix.keys.size() != resident_base_) {
+      throw std::runtime_error("logsvc: checkpointed prefix is shorter than adopted");
+    }
+    prefix.index.reserve(prefix.keys.size());
+    for (std::uint64_t i = 0; i < resident_base_; ++i) {
+      prefix.index.insert(prefix.keys[static_cast<std::size_t>(i)], i, key_at);  // first wins
+    }
+  });
+  return prefix.index.find(key, key_at);
+}
+
+std::optional<std::uint64_t> LogService::leaf_index_of(const crypto::Digest& leaf_hash) const {
+  // The checkpointed prefix first: the whole log's first occurrence wins.
+  const auto paged = find_in_prefix(prefix_leaves_, leaf_hash, [this](auto& keys) {
     const storage::IoError io = config_.storage->stream_paged_leaves(
         0, resident_base_,
-        [this](std::uint64_t first, const crypto::Digest* hashes, std::uint64_t count) {
-          for (std::uint64_t i = 0; i < count; ++i) {
-            paged_index_.emplace(hashes[i], first + i);  // first occurrence wins
-          }
+        [&keys](std::uint64_t, const crypto::Digest* hashes, std::uint64_t count) {
+          keys.insert(keys.end(), hashes, hashes + count);
           return true;
         });
     if (io != storage::IoError::none) {
       throw std::runtime_error("logsvc: failed to stream tile pages for get-proof-by-hash");
     }
-    paged_index_built_ = true;
+  });
+  if (paged) return paged;
+  std::lock_guard<std::mutex> lock(leaf_index_mu_);
+  if (const auto position = leaf_index_.find(leaf_hash, leaf_at())) {
+    return leaf_base_ + *position;
   }
-  const auto it = paged_index_.find(leaf_hash);
-  if (it == paged_index_.end()) return std::nullopt;
-  return it->second;
+  return std::nullopt;
+}
+
+std::optional<ct::LogEntry> LogService::prefix_record(const crypto::Digest& fingerprint) {
+  const auto index = find_in_prefix(prefix_fingerprints_, fingerprint, [this](auto& keys) {
+    const storage::IoError io = config_.storage->entry_reader().scan(
+        0, resident_base_,
+        [&keys](storage::DurableEntry& durable) { keys.push_back(durable.fingerprint); });
+    if (io != storage::IoError::none) {
+      throw std::runtime_error("logsvc: failed to scan the entry segment for dedup");
+    }
+  });
+  if (!index) return std::nullopt;
+  std::vector<storage::DurableEntry> durable;
+  if (config_.storage->read_entries(*index, 1, durable) != storage::IoError::none) {
+    throw std::runtime_error("logsvc: failed to read a checkpointed entry for dedup");
+  }
+  return to_record(std::move(durable.front()), false);
 }
 
 std::vector<ct::LogEntry> LogService::get_entries(std::uint64_t start, std::uint64_t count) const {
@@ -549,11 +560,28 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
 
     if (config_.dedup) {
       // RFC 6962 resubmission semantics: re-issue the SCT over the
-      // original timestamp instead of growing the tree. Hits against
-      // entries staged in THIS batch are contingent on the commit.
+      // original timestamp instead of growing the tree. The whole log
+      // counts: the checkpointed prefix, the resident tail, then this
+      // batch. Hits against entries staged in THIS batch are contingent
+      // on the commit.
+      std::optional<ct::LogEntry> paged;
+      try {
+        paged = prefix_record(pending.fingerprint);
+      } catch (const std::runtime_error& e) {
+        // Whether this is a resubmission is unknown: refuse it rather
+        // than risk logging one certificate twice.
+        obs::log_warn("logsvc", "dedup could not read the checkpointed prefix",
+                      {{"log", config_.name}, {"error", std::string(e.what())}});
+        completions.push_back({std::move(pending.done),
+                               ct::SubmitResult{ct::SubmitStatus::storage_error, 0, std::nullopt},
+                               pending.enqueued_at});
+        continue;
+      }
       const ct::LogEntry* prior = nullptr;
       bool prior_in_batch = false;
-      if (const auto position = dedup_.find(pending.fingerprint, fingerprint_at())) {
+      if (paged) {
+        prior = &*paged;
+      } else if (const auto position = dedup_.find(pending.fingerprint, fingerprint_at())) {
         prior = &entries_.at(*position);
       } else if (const auto staged = batch_dedup.find(pending.fingerprint, staged_fingerprint)) {
         prior = &new_records[static_cast<std::size_t>(*staged)];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "ctwatch/storage/crc32c.hpp"
 
@@ -81,28 +82,38 @@ std::uint64_t SegmentReader::entries() const {
 
 IoError SegmentReader::read(std::uint64_t start, std::uint64_t count,
                             std::vector<DurableEntry>& out) const {
+  return scan(start, count, [&out](DurableEntry& entry) { out.push_back(std::move(entry)); });
+}
+
+IoError SegmentReader::scan(std::uint64_t start, std::uint64_t count,
+                            const std::function<void(DurableEntry&)>& fn) const {
   if (count == 0) return IoError::none;
+  const std::uint64_t stop = start + count;
   std::uint64_t cursor_index = 0;
   std::uint64_t cursor_offset = 0;
-  std::uint64_t covered_bytes = 0;
+  std::uint64_t span_end = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (start + count > entries_) return IoError::corrupt;
-    covered_bytes = bytes_;
+    if (stop > entries_) return IoError::corrupt;
     // Floor mark: the last mark at or below `start`. Marks are sorted.
     auto it = std::upper_bound(marks_.begin(), marks_.end(), start,
                                [](std::uint64_t s, const Mark& m) { return s < m.index; });
     if (it != marks_.begin()) {
-      --it;
-      cursor_index = it->index;
-      cursor_offset = it->offset;
+      cursor_index = std::prev(it)->index;
+      cursor_offset = std::prev(it)->offset;
     }
+    // The frames [cursor_index, stop) end at or before the first mark
+    // at or past `stop` (a frame boundary), and within coverage.
+    it = std::lower_bound(it, marks_.end(), stop,
+                          [](const Mark& m, std::uint64_t s) { return m.index < s; });
+    span_end = it != marks_.end() ? std::min(it->offset, bytes_) : bytes_;
   }
 
-  FrameCursor cursor(*file_, cursor_offset, covered_bytes);
+  FrameCursor cursor(*file_, cursor_offset, span_end,
+                     static_cast<std::size_t>(std::min<std::uint64_t>(
+                         span_end - cursor_offset, FrameCursor::kMaxBufferBytes)));
   RecordType type{};
   Bytes payload;
-  const std::uint64_t stop = start + count;
   while (cursor_index < stop) {
     switch (cursor.next(type, payload)) {
       case FrameCursor::Status::ok:
@@ -116,7 +127,7 @@ IoError SegmentReader::read(std::uint64_t start, std::uint64_t count,
     if (cursor_index >= start) {
       std::optional<DurableEntry> entry = decode_entry(BytesView{payload.data(), payload.size()});
       if (!entry.has_value() || entry->index != cursor_index) return IoError::corrupt;
-      out.push_back(std::move(*entry));
+      fn(*entry);
     }
     ++cursor_index;
   }

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ctwatch/crypto/ec_p256.hpp"
 #include "ctwatch/crypto/sha256.hpp"
 #include "ctwatch/crypto/signature.hpp"
+#include "ctwatch/ct/merkle.hpp"
 #include "ctwatch/util/rng.hpp"
 
 namespace ctwatch::crypto {
@@ -56,6 +59,97 @@ TEST(Sha256Test, UseAfterFinishThrows) {
   EXPECT_THROW((void)h.finish(), std::logic_error);
   h.reset();
   EXPECT_EQ(digest_hex(h.finish()), digest_hex(Sha256::hash(BytesView{})));
+}
+
+// ---------- SHA-256 block dispatch vs. the portable oracle ----------
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+  Bytes out(n);
+  for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+/// SHA-256 through the portable block function only: FIPS 180-4 padding
+/// done here, independently of Sha256::finish.
+Digest portable_sha256(BytesView message) {
+  Bytes padded(message.begin(), message.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(message.size()) * 8;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> shift));
+  }
+  sha256_block::State state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                               0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  sha256_block::portable(state, padded.data(), padded.size() / 64);
+  Digest out{};
+  for (std::size_t i = 0; i < 8; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      out[4 * i + j] = static_cast<std::uint8_t>(state[i] >> (24 - 8 * j));
+    }
+  }
+  return out;
+}
+
+TEST(Sha256DispatchTest, PortableOracleMatchesFipsVectors) {
+  EXPECT_EQ(portable_sha256(BytesView{}), Sha256::hash(BytesView{}));
+  EXPECT_EQ(digest_hex(portable_sha256(to_bytes("abc"))),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+TEST(Sha256DispatchTest, DispatchedHashMatchesPortableAtRandomLengthsAndSplits) {
+  Rng rng(0x5a256);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t length = static_cast<std::size_t>(rng.below(1025));
+    const Bytes message = random_bytes(rng, length);
+    const Digest expected = portable_sha256(message);
+    ASSERT_EQ(Sha256::hash(message), expected) << "length=" << length;
+    // Up to three random update() split points.
+    std::vector<std::size_t> cuts{0, length};
+    for (int c = 0; c < 3; ++c) cuts.push_back(static_cast<std::size_t>(rng.below(length + 1)));
+    std::sort(cuts.begin(), cuts.end());
+    Sha256 h;
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      h.update(BytesView{message.data() + cuts[i], cuts[i + 1] - cuts[i]});
+    }
+    ASSERT_EQ(h.finish(), expected) << "length=" << length << " cuts=" << cuts[1] << ","
+                                    << cuts[2] << "," << cuts[3];
+  }
+}
+
+TEST(Sha256DispatchTest, ShaNiBlockFunctionMatchesPortable) {
+  if (!sha256_block::sha_ni_supported()) GTEST_SKIP() << "cpuid reports no SHA-NI";
+  Rng rng(0x5a2);
+  for (int trial = 0; trial < 500; ++trial) {
+    sha256_block::State state;
+    for (std::uint32_t& word : state) word = static_cast<std::uint32_t>(rng());
+    const std::size_t count = 1 + static_cast<std::size_t>(rng.below(4));
+    const Bytes blocks = random_bytes(rng, 64 * count);
+    sha256_block::State portable = state;
+    sha256_block::State hardware = state;
+    sha256_block::portable(portable, blocks.data(), count);
+    sha256_block::sha_ni(hardware, blocks.data(), count);
+    ASSERT_EQ(hardware, portable) << "trial=" << trial << " blocks=" << count;
+  }
+}
+
+TEST(Sha256DispatchTest, NodeHashMatchesGenericSha256) {
+  Rng rng(0x0de);
+  for (int trial = 0; trial < 300; ++trial) {
+    Digest left{}, right{};
+    for (std::uint8_t& b : left) b = static_cast<std::uint8_t>(rng());
+    for (std::uint8_t& b : right) b = static_cast<std::uint8_t>(rng());
+    Sha256 h;
+    h.update(std::uint8_t{0x01})
+        .update(BytesView{left.data(), left.size()})
+        .update(BytesView{right.data(), right.size()});
+    const Digest generic = h.finish();
+    ASSERT_EQ(ct::node_hash(left, right), generic) << "trial=" << trial;
+    Bytes input{0x01};
+    input.insert(input.end(), left.begin(), left.end());
+    input.insert(input.end(), right.begin(), right.end());
+    ASSERT_EQ(portable_sha256(input), generic) << "trial=" << trial;
+  }
 }
 
 TEST(HmacTest, Rfc4231Case1) {

@@ -2,8 +2,9 @@
 // batching under the merge delay, dedup semantics, backpressure, snapshot
 // reads (including stale heads), streaming fanout loss accounting, graceful
 // shutdown, a multi-threaded smoke test that is the ThreadSanitizer
-// target for the whole subsystem, and proof parity of every read mode
-// against the merkle_* reference recursion.
+// target for the whole subsystem, proof parity of memory-only and
+// storage-backed services against the merkle_* reference recursion, and
+// whole-log dedup and by-hash over a paged checkpointed prefix.
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
@@ -677,7 +678,8 @@ TEST(LogServiceTest, ProofHistogramsCountEveryProofServed) {
 }
 
 // ---------------------------------------------------------------------------
-// Proof parity: every read mode, byte-for-byte against the merkle_* oracle
+// Proof parity: memory-only and storage-backed, byte-for-byte against the
+// merkle_* oracle
 // ---------------------------------------------------------------------------
 
 /// A throwaway storage directory, removed on scope exit.
@@ -901,7 +903,6 @@ TEST(LogServiceProofParityTest, PagedReadsMatchOracleAcrossTheResidentBoundary) 
   ASSERT_NE(open.store, nullptr) << open.detail;
   Config config = fast_config("Svc Parity Paged");
   config.storage = open.store.get();
-  config.paged_reads = true;
   LogService service(config);
   ASSERT_EQ(service.resident_base(), checkpointed);
   const std::uint64_t tile_floor = checkpointed / 256 * 256;
@@ -1040,6 +1041,162 @@ TEST(LogServiceProofParityTest, StorageBackedReadersProveConcurrentlyWithCommits
   EXPECT_EQ(open.store->tree_size(), history.leaves.size());
   EXPECT_EQ(open.store->cascade().root(), history.heads.back().root_hash);
   expect_proof_parity(service, history);
+}
+
+// ---------------------------------------------------------------------------
+// Whole-log dedup and get-proof-by-hash over a paged checkpointed prefix
+// ---------------------------------------------------------------------------
+
+constexpr std::uint64_t kPrefixEntries = 300;  // checkpointed; not a tile multiple
+constexpr std::uint64_t kTailEntries = 264;    // left in the WAL by a crash
+
+/// Leaves `dir` holding a checkpointed prefix of kPrefixEntries
+/// submissions (ordinals 0..299, one per index) and a WAL tail of
+/// kTailEntries more, as a crash leaves it. `history` records them.
+void build_prefix_and_wal_tail(const std::string& dir, const std::string& name,
+                               History& history) {
+  storage::LogStoreOptions options = parity_store_options(dir);
+  options.checkpoint_interval_batches = 0;
+  {
+    storage::LogStore::Open open = storage::LogStore::open(options);
+    ASSERT_NE(open.store, nullptr) << open.detail;
+    Config config = fast_config(name);
+    config.storage = open.store.get();
+    LogService service(config);
+    seal_batch_of(service, 257, history);
+    seal_batch_of(service, kPrefixEntries - 257, history);
+    service.stop();  // the one checkpoint
+  }
+  storage::LogStore::Open open = storage::LogStore::open(options);
+  ASSERT_NE(open.store, nullptr) << open.detail;
+  Config config = fast_config(name);
+  config.storage = open.store.get();
+  LogService service(config);
+  seal_batch_of(service, 257, history);
+  seal_batch_of(service, kTailEntries - 257, history);
+  open.store->env().crash_now();
+  service.stop();
+  ASSERT_EQ(history.leaves.size(), kPrefixEntries + kTailEntries);
+}
+
+/// Recovers what build_prefix_and_wal_tail left, with the service on top.
+struct RecoveredService {
+  storage::LogStore::Open open;
+  std::unique_ptr<LogService> service;
+
+  RecoveredService(const std::string& dir, const std::string& name) {
+    storage::LogStoreOptions options = parity_store_options(dir);
+    options.checkpoint_interval_batches = 0;
+    open = storage::LogStore::open(options);
+    if (open.store == nullptr) return;
+    Config config = fast_config(name);
+    config.storage = open.store.get();
+    service = std::make_unique<LogService>(config);
+  }
+  ~RecoveredService() {
+    if (service == nullptr) return;
+    open.store->env().crash_now();  // leave the directory as recovery found it
+    service->stop();
+  }
+};
+
+std::uint64_t now_ms() { return static_cast<std::uint64_t>(kNow.unix_seconds()) * 1000; }
+
+TEST(LogServiceWholeLogTest, ResubmissionsFromPrefixAndTailReturnTheOriginal) {
+  TempDir dir("wholelog_dedup");
+  History history;
+  build_prefix_and_wal_tail(dir.path, "Svc Whole Log Dedup", history);
+  RecoveredService recovered(dir.path, "Svc Whole Log Dedup");
+  ASSERT_NE(recovered.service, nullptr) << recovered.open.detail;
+  LogService& service = *recovered.service;
+  ASSERT_EQ(service.resident_base(), kPrefixEntries);
+  const ct::SignedTreeHead head = service.get_sth();
+  ASSERT_EQ(head.tree_size, kPrefixEntries + kTailEntries);
+
+  // An hour later, one resubmission from each side of the checkpoint
+  // and one from either edge of it.
+  for (const std::uint64_t n : {std::uint64_t{42}, kPrefixEntries - 1, kPrefixEntries,
+                                kPrefixEntries + 17}) {
+    const ct::SubmitResult again = submit_wait(service, n, kNow + 3600);
+    ASSERT_EQ(again.status, ct::SubmitStatus::ok) << "n=" << n;
+    EXPECT_EQ(again.index, n);
+    ASSERT_TRUE(again.sct.has_value());
+    EXPECT_EQ(again.sct->timestamp_ms, now_ms()) << "n=" << n;
+    EXPECT_TRUE(ct::verify_sct(*again.sct, entry_of(n), service.public_key()));
+  }
+  // The tree did not grow, and no new head was signed.
+  EXPECT_EQ(service.tree_size(), kPrefixEntries + kTailEntries);
+  EXPECT_EQ(service.get_sth(), head);
+
+  // A fresh certificate still integrates at the end.
+  const ct::SubmitResult fresh = submit_wait(service, 10'000, kNow);
+  ASSERT_EQ(fresh.status, ct::SubmitStatus::ok);
+  EXPECT_EQ(fresh.index, kPrefixEntries + kTailEntries);
+}
+
+TEST(LogServiceWholeLogTest, ByHashResolvesLeavesOnBothSidesOfTheCheckpoint) {
+  obs::LogLinearHistogram& builds =
+      obs::Registry::global().latency("logsvc.prefix_index_build_us");
+  TempDir dir("wholelog_byhash");
+  History history;
+  build_prefix_and_wal_tail(dir.path, "Svc Whole Log By Hash", history);
+  RecoveredService recovered(dir.path, "Svc Whole Log By Hash");
+  ASSERT_NE(recovered.service, nullptr) << recovered.open.detail;
+  const LogService& service = *recovered.service;
+  const std::uint64_t builds_before = builds.count();
+  const std::uint64_t size = kPrefixEntries + kTailEntries;
+  for (const std::uint64_t i : {std::uint64_t{0}, std::uint64_t{255}, std::uint64_t{256},
+                                kPrefixEntries - 1, kPrefixEntries, kPrefixEntries + 1,
+                                size - 1}) {
+    EXPECT_EQ(service.leaf_index_of(history.leaves[static_cast<std::size_t>(i)]), i)
+        << "i=" << i;
+  }
+  EXPECT_EQ(service.leaf_index_of(crypto::Sha256::hash(to_bytes("never-logged"))),
+            std::nullopt);
+  // Reads built the leaf-hash prefix index once, and never the
+  // fingerprint one: a read-only monitor pays for no dedup state.
+  EXPECT_EQ(builds.count(), builds_before + 1);
+}
+
+// TSAN target: the first by-hash lookups (which build the leaf-hash
+// prefix index) race submissions whose dedup builds the fingerprint one.
+TEST(LogServiceWholeLogTest, FirstLookupsRaceSubmissions) {
+  TempDir dir("wholelog_race");
+  History history;
+  build_prefix_and_wal_tail(dir.path, "Svc Whole Log Race", history);
+  RecoveredService recovered(dir.path, "Svc Whole Log Race");
+  ASSERT_NE(recovered.service, nullptr) << recovered.open.detail;
+  LogService& service = *recovered.service;
+  const std::uint64_t size = kPrefixEntries + kTailEntries;
+
+  std::atomic<std::uint64_t> wrong{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> readers;
+  for (unsigned t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(0x1ea7ULL + t);
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (int q = 0; q < 200; ++q) {
+        const std::uint64_t i = rng() % size;
+        if (service.leaf_index_of(history.leaves[static_cast<std::size_t>(i)]) != i) {
+          wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::uint64_t k = 0; k < 20; ++k) {
+    const std::uint64_t n = (k * 37) % size;  // resubmissions across the whole log
+    const ct::SubmitResult again = submit_wait(service, n, kNow + 60);
+    EXPECT_EQ(again.status, ct::SubmitStatus::ok);
+    EXPECT_EQ(again.index, n);
+    const ct::SubmitResult fresh = submit_wait(service, 20'000 + k, kNow);
+    EXPECT_EQ(fresh.status, ct::SubmitStatus::ok);
+    EXPECT_EQ(fresh.index, size + k);
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(service.tree_size(), size + 20);
 }
 
 }  // namespace

@@ -222,17 +222,17 @@ void run_crash_point(const DryRun& dry, crypto::SignatureScheme scheme,
 
   const RecoveryReport first_report = recovered.store->recovery();
 
-  // (4b) out-of-core parity: a paged-reads service over the recovered
-  // store must produce proofs byte-identical to the resident tree, with
-  // queries crossing the paged/resident boundary.
+  // (4b) out-of-core parity: the service adopting the recovered store
+  // pages its checkpointed prefix, and must produce proofs byte-identical
+  // to the resident tree, with queries crossing the paged/resident
+  // boundary.
   if (recovered_size > 0) {
-    logsvc::Config paged_cfg = workload_config(recovered.store.get(), scheme);
-    paged_cfg.paged_reads = true;
-    logsvc::LogService service(paged_cfg);
+    logsvc::LogService service(workload_config(recovered.store.get(), scheme));
     EXPECT_EQ(service.resident_base(), first_report.checkpoint_tree_size);
     EXPECT_EQ(service.tree_size(), recovered_size);
     for (const std::uint64_t i : {std::uint64_t{0}, recovered_size / 2, recovered_size - 1}) {
       EXPECT_EQ(service.leaf_hash_at(i), dry.leaves[i]);
+      EXPECT_EQ(service.leaf_index_of(dry.leaves[i]), i);
       EXPECT_EQ(service.inclusion_proof(i, recovered_size),
                 tree.inclusion_proof(i, recovered_size));
     }

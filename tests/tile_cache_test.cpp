@@ -473,7 +473,6 @@ TEST(StoragePagedServiceTest, PagedReadsMatchResidentPathAcrossTheBoundary) {
   EXPECT_TRUE(open.store->wal_tail().empty());
 
   logsvc::Config config = service_config("Paged Log", open.store.get());
-  config.paged_reads = true;
   logsvc::LogService service(config);
   EXPECT_EQ(service.resident_base(), kCheckpointed);
   EXPECT_EQ(service.tree_size(), kCheckpointed);
