@@ -12,9 +12,9 @@
 // the checkpointed prefix, submits --live entries through the real
 // sequencer so queries straddle the paged/resident boundary (the first
 // submission builds the whole-log dedup index), then drives --queries
-// random inclusion +
-// consistency proofs and get-entries windows through the tile cache,
-// verifying EVERY proof cryptographically against the served STH.
+// random inclusion + consistency proofs and get-entries windows through
+// the tile cache, verifying EVERY proof cryptographically against the
+// served STH.
 //
 // Byte-identical parity at any scale without residency: the reference
 // proofs for --parity-samples sampled queries are computed by the
