@@ -108,8 +108,14 @@ crypto::Digest digest_of(const std::string& s) { return crypto::Sha256::hash(to_
 
 /// The synthetic leaf hash for build-phase index i — a pure function, so
 /// the parity reference can recompute it instead of keeping it resident.
+/// It allocates nothing: the parity pass calls it millions of times, each
+/// from its own recursion path, and a sanitizer runtime keeps the stack of
+/// every distinct allocation path for the life of the process.
 crypto::Digest built_leaf(std::uint64_t i) {
-  return digest_of("tile-scale-leaf-" + std::to_string(i));
+  char text[40];
+  const int n = std::snprintf(text, sizeof text, "tile-scale-leaf-%" PRIu64, i);
+  return crypto::Sha256::hash(
+      BytesView(reinterpret_cast<const std::uint8_t*>(text), static_cast<std::size_t>(n)));
 }
 
 constexpr const char* kLogName = "Tile Scale Log";
@@ -225,6 +231,9 @@ int main(int argc, char** argv) {
   }
   const double build_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - build_start).count();
+  // VmHWM only rises, so sampling it after each phase attributes the
+  // peak to the first phase that reached it.
+  const double hwm_build_mb = vm_hwm_mb();
 
   // ---- Phase 2: structural reopen — O(tail) recovery. ------------------
   storage::LogStoreOptions reopen_options = store_options;
@@ -250,6 +259,7 @@ int main(int argc, char** argv) {
                  ") of a %" PRIu64 "-leaf tree\n",
                  resident_after_reopen, wal_tail_entries, store.tree_size());
   }
+  const double hwm_reopen_mb = vm_hwm_mb();
 
   // ---- Phase 3: the service, live tail, query traffic. -----------------
   logsvc::Config config;
@@ -315,6 +325,7 @@ int main(int argc, char** argv) {
   }
   const double query_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - query_start).count();
+  const double hwm_proofs_mb = vm_hwm_mb();
 
   // ---- Byte-identical parity, sampled, zero-residency reference. -------
   const auto parity_start = std::chrono::steady_clock::now();
@@ -339,6 +350,7 @@ int main(int argc, char** argv) {
   }
   const double parity_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - parity_start).count();
+  const double hwm_parity_mb = vm_hwm_mb();
 
   const storage::TileCache& cache = store.tile_cache();
   const std::uint64_t cache_hits = cache.hits();
@@ -402,6 +414,11 @@ int main(int argc, char** argv) {
                               .field("evictions", cache_evictions)
                               .field("bytes", cache_bytes))
           .field("vm_hwm_mb", hwm_mb, 1)
+          .field("vm_hwm_after_mb", bench::Json()
+                                        .field("build", hwm_build_mb, 1)
+                                        .field("reopen", hwm_reopen_mb, 1)
+                                        .field("proofs", hwm_proofs_mb, 1)
+                                        .field("parity", hwm_parity_mb, 1))
           .field("parity_mismatches", parity_mismatches)
           .field("verify_failures", verify_failures)
           .field("invariants_ok", invariants_ok)

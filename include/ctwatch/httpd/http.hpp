@@ -8,9 +8,9 @@
 // body_too_large / bad_request / unsupported) so the connection layer can
 // answer 431/413/400/501 and close, instead of guessing.
 //
-// `ResponseParser` is the mirror image for client-side use: the wire
-// load generator (bench/httpd_wire), the in-tree tests, and the demo's
-// self-check all parse real server bytes with it.
+// `ResponseParser` is the mirror image for client-side use: ctbench's
+// wire clients, the in-tree tests, and the demo's self-check all parse
+// real server bytes with it.
 //
 // Both parsers are plain deterministic code: no I/O, no allocation
 // beyond the buffered bytes, usable under sanitizers and in fuzz-style

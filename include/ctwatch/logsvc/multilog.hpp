@@ -209,7 +209,8 @@ struct MultiLogTotals {
 
 /// The multi-log submission client. Single-threaded by design: the event
 /// engine advances virtual time deterministically, which is what makes
-/// `chaos_goodput` runs reproducible counter-for-counter.
+/// a run reproducible counter-for-counter from its fault seed
+/// (MultiLogTest.IdenticalSeedsGiveIdenticalTotals).
 class MultiLogSubmitter {
  public:
   /// Targets are borrowed; breakers are created per target.

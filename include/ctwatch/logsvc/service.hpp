@@ -25,7 +25,12 @@
 // Completion is asynchronous: submit() enqueues and returns; the SCT is
 // delivered to the submission's CompletionFn when its batch seals. That
 // is what lets a handful of submitter threads keep hundreds of
-// submissions in flight (see bench/logsvc_loadgen).
+// submissions in flight (ctbench's ct_submit workload drives that shape
+// over the wire).
+//
+// Resubmission always deduplicates, as RFC 6962 logs do: a certificate
+// whose fingerprint the log already holds gets a fresh SCT over its
+// original timestamp and index, and the tree does not grow.
 #pragma once
 
 #include <atomic>
@@ -60,10 +65,9 @@ struct Config {
   /// raw submit() path trusts its caller (as bulk simulations do).
   bool verify_submissions = true;
   /// Retain SignedEntry bodies in the entry store (get-entries returns
-  /// them). Load tests disable this to keep the record slim.
+  /// them). Bulk harnesses (tile_scale, the crash matrix) disable this to
+  /// keep the record slim; dedup keys on the fingerprint either way.
   bool store_bodies = true;
-  /// Return the original SCT for a resubmitted certificate.
-  bool dedup = true;
   /// Backpressure depth: submissions beyond this fail fast as overloaded.
   std::size_t queue_capacity = std::size_t(1) << 16;
   /// Seal a batch early once it reaches this many submissions.
@@ -225,11 +229,6 @@ class LogService {
   [[nodiscard]] std::uint64_t sealed_batches() const {
     return sealed_batches_.load(std::memory_order_relaxed);
   }
-  /// Submissions refused because the queue was closed (shutdown race) —
-  /// distinct from overload so teardown is never misread as backpressure.
-  [[nodiscard]] std::uint64_t shutdown_rejections() const {
-    return shutdown_rejections_.load(std::memory_order_relaxed);
-  }
   /// Chaos accounting: ingress drops and seal-time signer failures. Both
   /// are zero without a fault injector.
   [[nodiscard]] std::uint64_t chaos_dropped() const {
@@ -361,7 +360,6 @@ class LogService {
   std::atomic<bool> running_{false};
   std::atomic<bool> paused_{false};
   std::atomic<std::uint64_t> overload_rejections_{0};
-  std::atomic<std::uint64_t> shutdown_rejections_{0};
   std::atomic<std::uint64_t> chaos_dropped_{0};
   std::atomic<std::uint64_t> signer_failures_{0};
   std::atomic<std::uint64_t> storage_failures_{0};

@@ -153,7 +153,7 @@ void LogService::adopt_storage() {
       throw std::runtime_error("logsvc: in-memory store refused a recovered entry");
     }
     leaf_index_.insert(leaf, index - leaf_base_, leaf_at());
-    if (config_.dedup) dedup_.insert(fingerprint, index - resident_base_, fingerprint_at());
+    dedup_.insert(fingerprint, index - resident_base_, fingerprint_at());
   }
   // The store's cascade, which recovery built, already holds the upper
   // levels and the accumulator: nothing is copied or folded again.
@@ -215,7 +215,6 @@ ct::SubmitStatus LogService::submit(ct::SignedEntry entry, const crypto::Digest&
     case PushResult::closed:
       break;
   }
-  shutdown_rejections_.fetch_add(1, std::memory_order_relaxed);
   metrics.shutdown_rejected.inc();
   return ct::SubmitStatus::shutdown;
 }
@@ -558,45 +557,43 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
       continue;
     }
 
-    if (config_.dedup) {
-      // RFC 6962 resubmission semantics: re-issue the SCT over the
-      // original timestamp instead of growing the tree. The whole log
-      // counts: the checkpointed prefix, the resident tail, then this
-      // batch. Hits against entries staged in THIS batch are contingent
-      // on the commit.
-      std::optional<ct::LogEntry> paged;
-      try {
-        paged = prefix_record(pending.fingerprint);
-      } catch (const std::runtime_error& e) {
-        // Whether this is a resubmission is unknown: refuse it rather
-        // than risk logging one certificate twice.
-        obs::log_warn("logsvc", "dedup could not read the checkpointed prefix",
-                      {{"log", config_.name}, {"error", std::string(e.what())}});
-        completions.push_back({std::move(pending.done),
-                               ct::SubmitResult{ct::SubmitStatus::storage_error, 0, std::nullopt},
-                               pending.enqueued_at});
-        continue;
-      }
-      const ct::LogEntry* prior = nullptr;
-      bool prior_in_batch = false;
-      if (paged) {
-        prior = &*paged;
-      } else if (const auto position = dedup_.find(pending.fingerprint, fingerprint_at())) {
-        prior = &entries_.at(*position);
-      } else if (const auto staged = batch_dedup.find(pending.fingerprint, staged_fingerprint)) {
-        prior = &new_records[static_cast<std::size_t>(*staged)];
-        prior_in_batch = true;
-      }
-      if (prior != nullptr) {
-        metrics.dedup_hits.inc();
-        if (prior_in_batch) contingent.push_back(completions.size());
-        completions.push_back({std::move(pending.done),
-                               ct::SubmitResult{ct::SubmitStatus::ok, prior->index,
-                                             ct::sign_sct(*signer_, log_id_, prior->timestamp_ms,
-                                                          pending.entry)},
-                               pending.enqueued_at});
-        continue;
-      }
+    // RFC 6962 resubmission semantics: re-issue the SCT over the
+    // original timestamp instead of growing the tree. The whole log
+    // counts: the checkpointed prefix, the resident tail, then this
+    // batch. Hits against entries staged in THIS batch are contingent
+    // on the commit.
+    std::optional<ct::LogEntry> paged;
+    try {
+      paged = prefix_record(pending.fingerprint);
+    } catch (const std::runtime_error& e) {
+      // Whether this is a resubmission is unknown: refuse it rather
+      // than risk logging one certificate twice.
+      obs::log_warn("logsvc", "dedup could not read the checkpointed prefix",
+                    {{"log", config_.name}, {"error", std::string(e.what())}});
+      completions.push_back({std::move(pending.done),
+                             ct::SubmitResult{ct::SubmitStatus::storage_error, 0, std::nullopt},
+                             pending.enqueued_at});
+      continue;
+    }
+    const ct::LogEntry* prior = nullptr;
+    bool prior_in_batch = false;
+    if (paged) {
+      prior = &*paged;
+    } else if (const auto position = dedup_.find(pending.fingerprint, fingerprint_at())) {
+      prior = &entries_.at(*position);
+    } else if (const auto staged = batch_dedup.find(pending.fingerprint, staged_fingerprint)) {
+      prior = &new_records[static_cast<std::size_t>(*staged)];
+      prior_in_batch = true;
+    }
+    if (prior != nullptr) {
+      metrics.dedup_hits.inc();
+      if (prior_in_batch) contingent.push_back(completions.size());
+      completions.push_back({std::move(pending.done),
+                             ct::SubmitResult{ct::SubmitStatus::ok, prior->index,
+                                              ct::sign_sct(*signer_, log_id_, prior->timestamp_ms,
+                                                           pending.entry)},
+                             pending.enqueued_at});
+      continue;
     }
 
     const std::uint64_t index = base + new_leaves.size();
@@ -608,9 +605,7 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
       sct = ct::sign_sct(*signer_, log_id_, pending.timestamp_ms, pending.entry);
     }
 
-    if (config_.dedup) {
-      batch_dedup.insert(pending.fingerprint, new_records.size(), staged_fingerprint);
-    }
+    batch_dedup.insert(pending.fingerprint, new_records.size(), staged_fingerprint);
 
     const ct::SignedEntry no_body;
     if (config_.storage != nullptr) {
@@ -684,9 +679,7 @@ void LogService::seal_batch(std::vector<Pending>& batch) {
         std::lock_guard<std::mutex> lock(leaf_index_mu_);
         leaf_index_.insert(leaf, base + i - leaf_base_, leaf_at());
       }
-      if (config_.dedup) {
-        dedup_.insert(record.fingerprint, base + i - resident_base_, fingerprint_at());
-      }
+      dedup_.insert(record.fingerprint, base + i - resident_base_, fingerprint_at());
       (void)entries_.append(std::move(record));
     }
     leaves_.publish();

@@ -23,6 +23,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <latch>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -315,7 +317,7 @@ class WireClient {
   bool send_all(const std::string& data) {
     std::size_t sent = 0;
     while (sent < data.size()) {
-      const ssize_t n = ::send(fd_, data.data() + sent, data.size() - sent, 0);
+      const ssize_t n = ::send(fd_, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
       if (n <= 0) return false;
       sent += static_cast<std::size_t>(n);
     }
@@ -570,30 +572,79 @@ TEST(HttpdServerTest, ChaosAcceptDropsSeverConnections) {
 }
 
 TEST(HttpdServerTest, MultiWorkerConcurrentClientsAreRaceFree) {
-  // The TSAN target: 4 worker loops, concurrent keep-alive clients.
+  // The TSAN target: 4 worker loops under two inputs. First, 8 keep-alive
+  // clients on their own threads. Second, 256 clients (8 threads x 32)
+  // that all connect before any of them sends, so the workers hold every
+  // socket open at once; 256 client plus 256 server fds fit the default
+  // 1024 soft limit.
   ServerOptions options;
   options.workers = 4;
   Server server(options, echo_routes());
   ASSERT_TRUE(server.start());
+  const auto open_reaches = [&server](std::uint64_t want) {
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (server.connections_open() != want) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(1ms);
+    }
+    return true;
+  };
+  // Sends `requests` tagged echo requests on `client`, counting the
+  // responses whose body is the tag.
+  const auto echo = [](WireClient& client, const std::string& prefix, int requests,
+                       std::atomic<int>& ok) {
+    for (int i = 0; i < requests; ++i) {
+      const std::string tag = prefix + "." + std::to_string(i);
+      if (!client.send_all("GET /echo-query?q=" + tag + " HTTP/1.1\r\nHost: t\r\n\r\n")) {
+        return;
+      }
+      const auto response = client.read_response();
+      if (response && response->body == tag) ok.fetch_add(1);
+    }
+  };
+
   std::atomic<int> ok{0};
   std::vector<std::thread> clients;
   for (int t = 0; t < 8; ++t) {
-    clients.emplace_back([&server, &ok, t] {
+    clients.emplace_back([&server, &ok, &echo, t] {
       WireClient client(server.port());
-      if (!client.connected()) return;
-      for (int i = 0; i < 25; ++i) {
-        const std::string tag = std::to_string(t) + "." + std::to_string(i);
-        if (!client.send_all("GET /echo-query?q=" + tag + " HTTP/1.1\r\nHost: t\r\n\r\n")) {
-          return;
-        }
-        const auto response = client.read_response();
-        if (response && response->body == tag) ok.fetch_add(1);
-      }
+      if (client.connected()) echo(client, std::to_string(t), 25, ok);
     });
   }
   for (std::thread& thread : clients) thread.join();
   EXPECT_EQ(ok.load(), 200);
   EXPECT_EQ(server.requests_served(), 200u);
+  EXPECT_TRUE(open_reaches(0));
+
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 32;
+  constexpr int kRequests = 4;
+  ok.store(0);
+  clients.clear();
+  std::latch connected(kThreads);
+  std::latch go(1);
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&server, &ok, &echo, &connected, &go, t] {
+      std::vector<std::unique_ptr<WireClient>> fleet;
+      for (int c = 0; c < kPerThread; ++c) {
+        fleet.push_back(std::make_unique<WireClient>(server.port()));
+      }
+      connected.count_down();
+      go.wait();
+      for (int c = 0; c < kPerThread; ++c) {
+        if (fleet[c]->connected()) {
+          echo(*fleet[c], std::to_string(t) + "/" + std::to_string(c), kRequests, ok);
+        }
+      }
+    });
+  }
+  connected.wait();
+  EXPECT_TRUE(open_reaches(kThreads * kPerThread)) << server.connections_open();
+  go.count_down();
+  for (std::thread& thread : clients) thread.join();
+  EXPECT_EQ(ok.load(), kThreads * kPerThread * kRequests);
+  EXPECT_EQ(server.requests_served(), 200u + kThreads * kPerThread * kRequests);
+  EXPECT_TRUE(open_reaches(0)) << server.connections_open();
   server.stop();
 }
 
